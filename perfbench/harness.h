@@ -21,8 +21,8 @@ inline std::uint64_t wallNs() {
 
 /// One recorded span. `parent` indexes the enclosing span on the same
 /// thread (-1 for a root); `op` is the operation the span belongs to (0
-/// outside any op); `round` is the steady-phase round (-1 for the layer
-/// micro-cases and set-up).
+/// outside any op); `round` is the steady-phase round (-2 for the wrap
+/// probe, checkWrappedSpans()).
 struct Span {
   const char* name = "";
   std::uint64_t startNs = 0;
@@ -85,11 +85,21 @@ private:
   std::uint64_t state_ = 0xcbf29ce484222325ULL;
 };
 
+/// One reported metric.
+struct Metric {
+  double value = 0;
+  std::string unit;
+};
+
 /// Per-run record of metric values and checked operations.
 struct Ledger {
-  std::map<std::string, double> metrics;
+  std::map<std::string, Metric> metrics;
   std::uint64_t attempted = 0;
   std::uint64_t failed = 0;
+
+  void record(const std::string& name, double value, const std::string& unit) {
+    metrics[name] = Metric{value, unit};
+  }
 
   /// Counts one checked operation; a failure is reported on stderr.
   void check(bool ok, const std::string& what) {

@@ -65,7 +65,6 @@ const CorpusFile kCorpus[] = {
 };
 
 void clcPhases(const std::string& root, Ledger& ledger) {
-  ScopedSpan span("layer.clc");
   std::vector<std::string> sources;
   std::size_t bytes = 0;
   for (const CorpusFile& file : kCorpus) {
@@ -105,8 +104,8 @@ void clcPhases(const std::string& root, Ledger& ledger) {
     }
   }
   for (const char* phase : phases) {
-    ledger.metrics[std::string("clc.") + phase + "_ms"] =
-        median(samples[phase]);
+    ledger.record(std::string("clc.") + phase + "_ms", median(samples[phase]),
+                  "ms");
   }
   std::printf("# clc corpus: %zu files, %zu bytes, %zu O2 instructions, "
               "%zu passes\n",
@@ -179,7 +178,6 @@ double vmRate(const clc::Program& program, const char* kernel,
 }
 
 void vm(const std::string& root, Ledger& ledger) {
-  ScopedSpan span("layer.vm");
   {
     mandelbrot::FractalParams params;
     params.width = 128;
@@ -205,8 +203,9 @@ void vm(const std::string& root, Ledger& ledger) {
         scalarArg(params.dx()),
         scalarArg(params.dy()),
         scalarArg(std::int32_t(params.maxIterations))};
-    ledger.metrics["clc.vm_minstr_per_s"] =
-        vmRate(program, "mandelbrot", range, args, buffers, 5);
+    ledger.record("clc.vm_minstr_per_s",
+                  vmRate(program, "mandelbrot", range, args, buffers, 5),
+                  "Minstr/s");
     const std::vector<std::int32_t> expected =
         mandelbrot::computeReference(params).iterations;
     ledger.check(std::memcmp(buffers[0].data(), expected.data(),
@@ -232,9 +231,10 @@ void vm(const std::string& root, Ledger& ledger) {
     clc::KernelArgValue tmp;
     tmp.kind = clc::KernelArgValue::Kind::Local;
     tmp.localSize = std::uint32_t(local * 4);
-    ledger.metrics["clc.vm_barrier_minstr_per_s"] = vmRate(
-        program, "reduce_tree", range, {bufferArg(0), bufferArg(1), tmp},
-        buffers, 5);
+    ledger.record("clc.vm_barrier_minstr_per_s",
+                  vmRate(program, "reduce_tree", range,
+                         {bufferArg(0), bufferArg(1), tmp}, buffers, 5),
+                  "Minstr/s");
     bool ok = true;
     for (std::size_t g = 0; g < n / local; ++g) {
       float expected = 0;
@@ -252,7 +252,6 @@ void vm(const std::string& root, Ledger& ledger) {
 // --- ocl: enqueue cost and transfers ------------------------------------
 
 void oclQueue(Ledger& ledger) {
-  ScopedSpan span("layer.ocl");
   ocl::configureSystem(ocl::SystemConfig::teslaS1070(1));
   const ocl::Device device =
       ocl::getPlatforms().front().devices(ocl::DeviceType::GPU).front();
@@ -281,7 +280,7 @@ void oclQueue(Ledger& ledger) {
   std::int32_t launched = 0;
   queue.enqueueReadBuffer(counter, 0, 4, &launched);
   ledger.check(launched == 10 * batch, "ocl trivial launches");
-  ledger.metrics["ocl.launch_us"] = median(perLaunchUs);
+  ledger.record("ocl.launch_us", median(perLaunchUs), "us");
 
   const std::size_t bytes = std::size_t(4) << 20;
   std::vector<std::uint8_t> host(bytes), back(bytes);
@@ -297,8 +296,9 @@ void oclQueue(Ledger& ledger) {
         timed([&] { queue.enqueueReadBuffer(buffer, 0, bytes, back.data()); }));
   }
   ledger.check(back == host, "ocl write/read round trip");
-  ledger.metrics["ocl.write_gbps"] = double(bytes) / median(writeS) * 1e-9;
-  ledger.metrics["ocl.read_gbps"] = double(bytes) / median(readS) * 1e-9;
+  ledger.record("ocl.write_gbps", double(bytes) / median(writeS) * 1e-9,
+                "GB/s");
+  ledger.record("ocl.read_gbps", double(bytes) / median(readS) * 1e-9, "GB/s");
 }
 
 // --- skelcl: lazy call, consumption of a fused chain, scheduler drain ----
@@ -312,7 +312,6 @@ std::vector<float> ramp(std::size_t n, std::size_t salt) {
 }
 
 void skeletonCalls(Ledger& ledger) {
-  ScopedSpan span("layer.skelcl");
   useSystem(4);
   skelcl::Zip<float> mult(
       "float pb_mul(float x, float y) { return x * y; }");
@@ -343,8 +342,8 @@ void skeletonCalls(Ledger& ledger) {
     }
     ledger.check(ok, "skelcl drained zips");
   }
-  ledger.metrics["skelcl.call_us"] = median(callUs);
-  ledger.metrics["skelcl.drain_ms"] = median(drainMs);
+  ledger.record("skelcl.call_us", median(callUs), "us");
+  ledger.record("skelcl.drain_ms", median(drainMs), "ms");
 
   skelcl::Map<float> s1("float pb_s1(float x) { return x + 1.0f; }");
   skelcl::Map<float> s2("float pb_s2(float x) { return x * 2.0f; }");
@@ -366,7 +365,7 @@ void skeletonCalls(Ledger& ledger) {
     }
   }
   ledger.check(ok, "skelcl fused chain");
-  ledger.metrics["skelcl.force_us"] = median(forceUs);
+  ledger.record("skelcl.force_us", median(forceUs), "us");
   skelcl::terminate();
 }
 
@@ -422,7 +421,6 @@ bool programSet() {
 }
 
 void kernelCache(Ledger& ledger) {
-  ScopedSpan span("layer.cache");
   std::vector<double> buildMs, loadMs;
   for (int rep = 0; rep < 3; ++rep) {
     useSystem(1);
@@ -447,15 +445,14 @@ void kernelCache(Ledger& ledger) {
   }
   skelcl::terminate();
   const double build = median(buildMs), load = median(loadMs);
-  ledger.metrics["skelcl.cache_build_ms"] = build;
-  ledger.metrics["skelcl.cache_load_ms"] = load;
-  ledger.metrics["skelcl.build_load_ratio"] = build / load;
+  ledger.record("skelcl.cache_build_ms", build, "ms");
+  ledger.record("skelcl.cache_load_ms", load, "ms");
+  ledger.record("skelcl.build_load_ratio", build / load, "ratio");
 }
 
 // --- service: a JobServer pump of N queued jobs ----------------------------
 
 void servicePump(Ledger& ledger) {
-  ScopedSpan span("layer.service");
   useSystem(4);
   const std::size_t tenants = 4, jobs = 32, n = 1024;
   std::vector<double> pumpMs, dispatchUs;
@@ -507,8 +504,8 @@ void servicePump(Ledger& ledger) {
     }
   }
   skelcl::terminate();
-  ledger.metrics["service.pump_ms"] = median(pumpMs);
-  ledger.metrics["service.dispatch_us"] = median(dispatchUs);
+  ledger.record("service.pump_ms", median(pumpMs), "ms");
+  ledger.record("service.dispatch_us", median(dispatchUs), "us");
 }
 
 } // namespace

@@ -14,4 +14,9 @@ namespace perfbench {
 /// SkelCL terminated.
 void runLayerCases(const std::string& root, Ledger& ledger);
 
+/// Calls each clc entry point wrap.cpp wraps once, with spans recorded,
+/// and checks that each recorded its span: a wrap that no longer matches
+/// its symbol fails the run. Defined in wrap.cpp.
+void checkWrappedSpans(Ledger& ledger);
+
 } // namespace perfbench

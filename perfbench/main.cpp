@@ -12,30 +12,32 @@
 //   2. A fixed-length host burn that makes no SkelCL call, so timing
 //      starts with the CPU awake but every library cache cold.
 //   3. The workload builds its seeded inputs and reference outputs.
-//   4. Set-up, repeated kSetupReps times on an emptied cache directory;
-//      setup_s is the median.
-//   5. The steady phase: rounds of a fixed amount of work until S
-//      seconds have passed. Every op is checked; each round's virtual
-//      time, kernel cycles, launches and output digest must equal the
-//      first round's (only the launches where Workload::bitExact() is
-//      false).
+//   4. The steady phase, until S seconds have passed: each step is one
+//      set-up from scratch (SkelCL terminated, kernel cache emptied),
+//      then one round of a fixed amount of work. Every op is checked;
+//      each round's virtual time, kernel cycles, launches and output
+//      digest must equal the first round's (only the launches where
+//      Workload::bitExact() is false).
 //
-// wall_s is the 2nd percentile of the round times. On the shared 4-vCPU
-// virtual machine the benchmark was tuned on, all code ran up to 1.6x
-// slower in episodes lasting seconds to minutes, and a few rounds per
-// run were luckily fast. Over five sets of ten runs the quartile
-// distance over the median of the per-run figure reached 0.34 for the
-// median round, 0.23 for the fastest round and 0.15 for the 2nd
-// percentile. The per-op wall latencies (op_wall_p50_ms and
-// op_wall_tail_ms, pooled over every round) still show the slow
-// episodes, so they are printed as an info line, not as metrics. The raw set-up and round times
-// go to DIR/times.json.
+// setup_s and wall_s are the kLowPercentile-th percentile of the set-up
+// and round times. On the shared 4-vCPU virtual machine the benchmark was
+// tuned on, all code ran up to 1.6x slower in episodes lasting seconds to
+// minutes, and a few rounds per run were luckily fast. Over five sets of
+// ten runs the quartile distance over the median of the per-run wall
+// figure reached 0.34 for the median round, 0.23 for the fastest round
+// and 0.15 for the 2nd percentile. Set-up samples are spread over the
+// whole run for the same reason: taken back to back, a single slow
+// episode covered all of them. The per-op wall latencies (op_wall_p50_ms
+// and op_wall_tail_ms, pooled over every round) still show the slow
+// episodes, so they are printed as an info line, not as metrics. The raw
+// set-up and round times go to DIR/times.json.
 //
 // --trace 0 prints the end-to-end metrics. --trace 1 runs the per-layer
-// micro-cases, then alternates untraced and traced rounds, and prints
-// the per-layer metrics: micro-case timings, the workload's library
-// counters per round, the self time per layer in traced rounds, and the
-// tracing overhead. The spans go to DIR/spans.json.
+// micro-cases (spans off) and the wrap probe, then alternates untraced
+// and traced rounds, and prints the per-layer metrics: micro-case
+// timings, the workload's library counters per round, the self time per
+// layer in traced rounds, and the tracing overhead. The spans go to
+// DIR/spans.json.
 //
 // The last line of standard output is the result object
 // {"correct", "attempted", "failed", "metrics"}.
@@ -65,7 +67,7 @@ namespace {
 
 using namespace perfbench;
 
-constexpr int kSetupReps = 21;
+constexpr double kLowPercentile = 2.0;
 // peak_rss_mb is read after this many rounds (or at the end of a shorter
 // run), so it covers a fixed amount of work.
 constexpr std::size_t kRssRounds = 10;
@@ -175,19 +177,14 @@ double peakRssMb() {
   throw std::runtime_error("no VmHWM in /proc/self/status");
 }
 
-struct Metric {
-  const char* name;
-  const char* unit;
-  double value;
-};
-
-void printResult(const Ledger& ledger, const std::vector<Metric>& metrics) {
+void printResult(const Ledger& ledger) {
   std::string body;
-  for (const Metric& m : metrics) {
+  for (const auto& [name, m] : ledger.metrics) {
     char buf[160];
-    std::snprintf(buf, sizeof buf, "%s\"%s\": {\"value\": %.17g, \"unit\": \"%s\"}",
-                  body.empty() ? "" : ", ", m.name,
-                  std::isfinite(m.value) ? m.value : 0.0, m.unit);
+    std::snprintf(buf, sizeof buf,
+                  "%s\"%s\": {\"value\": %.17g, \"unit\": \"%s\"}",
+                  body.empty() ? "" : ", ", name.c_str(),
+                  std::isfinite(m.value) ? m.value : 0.0, m.unit.c_str());
     body += buf;
   }
   std::printf("{\"correct\": %s, \"attempted\": %llu, \"failed\": %llu, "
@@ -230,15 +227,29 @@ void writeRawTimes(const std::string& path, const std::vector<double>& setupS,
   std::fclose(f);
 }
 
-/// Self time per layer (ms) in each traced round, from the spans.
+/// One set-up from scratch: SkelCL terminated, kernel cache emptied.
+double timedSetup(Workload& workload) {
+  skelcl::terminate();
+  skelcl::detail::Runtime::instance().kernelCache().clear();
+  const std::uint64_t t0 = wallNs();
+  workload.setup();
+  return double(wallNs() - t0) * 1e-9;
+}
+
+/// Self time per layer (ms) in each traced round, from the spans. Every
+/// workload launches kernels, so a traced round without a clc.vm span
+/// means the VM wrap missed; that fails the run.
 std::map<std::string, std::vector<double>>
 layerSelfMs(const std::vector<Span>& spans,
             const std::vector<std::int64_t>& tracedRounds,
-            const std::string& workload) {
+            const std::string& workload, Ledger& ledger) {
   std::map<std::string, std::vector<double>> layers;
   std::map<std::string, double> kindTotals;
   for (std::int64_t round : tracedRounds) {
     const std::map<std::string, double> self = selfMsByName(spans, round);
+    ledger.check(self.count("clc.vm") == 1,
+                 "traced round " + std::to_string(round) +
+                     " records clc.vm spans");
     double vm = 0, build = 0, cacheIo = 0, host = 0;
     for (const auto& [name, ms] : self) {
       kindTotals[name] += ms;
@@ -288,22 +299,13 @@ int run(const Options& o) {
   Ledger ledger;
   std::unique_ptr<Workload> workload = makeWorkload(o.workload, o.seed);
   if (o.trace) {
-    Spans::enable(true);
     runLayerCases(o.root, ledger);
-    Spans::enable(false);
-  }
-
-  std::vector<double> setupS;
-  for (int rep = 0; rep < kSetupReps; ++rep) {
-    skelcl::terminate();
-    skelcl::detail::Runtime::instance().kernelCache().clear();
-    const std::uint64_t t0 = wallNs();
-    workload->setup();
-    setupS.push_back(double(wallNs() - t0) * 1e-9);
+    checkWrappedSpans(ledger);
   }
 
   // Steady phase. Traced runs alternate untraced (even) and traced (odd)
   // rounds so both see the same machine state.
+  std::vector<double> setupS;
   std::vector<Round> plain, traced;
   std::vector<std::int64_t> tracedIds;
   double rssMb = 0;
@@ -314,6 +316,7 @@ int run(const Options& o) {
     if (std::size_t(r) >= minRounds && elapsed >= o.seconds) {
       break;
     }
+    setupS.push_back(timedSetup(*workload));
     const bool tracedRound = o.trace && r % 2 == 1;
     Spans::setRound(r);
     Spans::enable(tracedRound);
@@ -352,25 +355,23 @@ int run(const Options& o) {
               (unsigned long long)first.digest.value(),
               workload->bitExact() ? "true" : "false");
 
-  std::vector<Metric> metrics;
   if (!o.trace) {
     std::vector<double> opWall;
     for (const Round& r : plain) {
       opWall.insert(opWall.end(), r.opWallMs.begin(), r.opWallMs.end());
     }
-    const double wallQ =
-        std::min(workload->tailPercentile(), tailPercentile(opWall.size()));
+    const double wallQ = tailPercentile(opWall.size());
     const std::vector<double> scheduled =
         workload->scheduledLatenciesMs(first);
-    const double virtualQ = std::min(workload->tailPercentile(),
-                                     tailPercentile(scheduled.size()));
     const double slo = workload->sloOpsPerVs(first, ledger);
     const std::vector<double> roundWalls = walls(plain);
     std::printf("# %zu rounds, round wall quartiles %.6f %.6f %.6f s; "
-                "op_virtual_tail_ms is p%g of %zu scheduled ops\n",
+                "set-up quartiles %.6f %.6f %.6f s; op_virtual_tail_ms is "
+                "p%g of %zu scheduled ops\n",
                 plain.size(), percentile(roundWalls, 25),
                 percentile(roundWalls, 50), percentile(roundWalls, 75),
-                virtualQ, scheduled.size());
+                percentile(setupS, 25), percentile(setupS, 50),
+                percentile(setupS, 75), kTailPercentile, scheduled.size());
     // Reported, not metrics: on a shared host their ten-run spread can
     // exceed the largest bound BENCHMARK.json allows.
     std::printf("# op_wall_p50_ms %.6f, op_wall_tail_ms %.6f (p%g of %zu "
@@ -382,77 +383,41 @@ int run(const Options& o) {
                                             ledger.attempted, 1)),
                 (unsigned long long)ledger.failed,
                 (unsigned long long)ledger.attempted);
-    metrics = {
-        {"setup_s", "s", median(setupS)},
-        {"wall_s", "s", percentile(roundWalls, 2.0)},
-        {"virtual_ms", "ms", double(first.virtualNs) * 1e-6},
-        {"op_virtual_p50_ms", "ms", median(scheduled)},
-        {"op_virtual_tail_ms", "ms", percentile(scheduled, virtualQ)},
-        {"slo_ops_per_vs", "ops/vs", slo},
-        {"peak_rss_mb", "MB", rssMb > 0 ? rssMb : peakRssMb()},
-    };
+    ledger.record("setup_s", percentile(setupS, kLowPercentile), "s");
+    ledger.record("wall_s", percentile(roundWalls, kLowPercentile), "s");
+    ledger.record("virtual_ms", double(first.virtualNs) * 1e-6, "ms");
+    ledger.record("op_virtual_p50_ms", median(scheduled), "ms");
+    ledger.record("op_virtual_tail_ms",
+                  percentile(scheduled, kTailPercentile), "ms");
+    ledger.record("slo_ops_per_vs", slo, "ops/vs");
+    ledger.record("peak_rss_mb", rssMb > 0 ? rssMb : peakRssMb(), "MB");
   } else {
     const std::vector<Span> spans = Spans::snapshot();
-    std::map<std::string, std::vector<double>> self =
-        layerSelfMs(spans, tracedIds, o.workload);
+    const std::map<std::string, std::vector<double>> self =
+        layerSelfMs(spans, tracedIds, o.workload, ledger);
     Spans::writeJson(o.runDir + "/spans.json");
-    std::map<std::string, double>& m = ledger.metrics;
-    m["ocl.launches"] = double(first.launches);
-    m["ocl.kernel_cycles"] = double(first.kernelCycles);
-    m["skelcl.cache_hits"] = double(first.cacheHits);
-    m["skelcl.cache_misses"] = double(first.cacheMisses);
-    m["skelcl.fused_launches"] = double(first.fusedLaunches);
-    m["skelcl.intermediate_bytes"] = double(first.intermediateBytes);
-    m["service.batches"] = double(first.batches);
-    m["service.coalesced_jobs"] = double(first.coalescedJobs);
-    m["service.queue_wait_virtual_ms"] = first.queueWaitVirtualMs;
-    m["trace.overhead_frac"] =
-        median(walls(traced)) / median(walls(plain)) - 1.0;
+    ledger.record("ocl.launches", double(first.launches), "count");
+    ledger.record("ocl.kernel_cycles", double(first.kernelCycles), "count");
+    ledger.record("skelcl.cache_hits", double(first.cacheHits), "count");
+    ledger.record("skelcl.cache_misses", double(first.cacheMisses), "count");
+    ledger.record("skelcl.fused_launches", double(first.fusedLaunches),
+                  "count");
+    ledger.record("skelcl.intermediate_bytes",
+                  double(first.intermediateBytes), "bytes");
+    ledger.record("service.batches", double(first.batches), "count");
+    ledger.record("service.coalesced_jobs", double(first.coalescedJobs),
+                  "count");
+    ledger.record("service.queue_wait_virtual_ms", first.queueWaitVirtualMs,
+                  "ms");
+    ledger.record("trace.overhead_frac",
+                  median(walls(traced)) / median(walls(plain)) - 1.0,
+                  "fraction");
     for (const auto& [name, values] : self) {
-      m[name] = median(values);
-    }
-    static const std::pair<const char*, const char*> kUnits[] = {
-        {"clc.lex_ms", "ms"},
-        {"clc.parse_ms", "ms"},
-        {"clc.sema_ms", "ms"},
-        {"clc.codegen_ms", "ms"},
-        {"clc.opt_ms", "ms"},
-        {"clc.serialize_ms", "ms"},
-        {"clc.deserialize_ms", "ms"},
-        {"clc.vm_minstr_per_s", "Minstr/s"},
-        {"clc.vm_barrier_minstr_per_s", "Minstr/s"},
-        {"ocl.launch_us", "us"},
-        {"ocl.write_gbps", "GB/s"},
-        {"ocl.read_gbps", "GB/s"},
-        {"ocl.launches", "count"},
-        {"ocl.kernel_cycles", "count"},
-        {"skelcl.call_us", "us"},
-        {"skelcl.force_us", "us"},
-        {"skelcl.drain_ms", "ms"},
-        {"skelcl.cache_build_ms", "ms"},
-        {"skelcl.cache_load_ms", "ms"},
-        {"skelcl.build_load_ratio", "ratio"},
-        {"skelcl.cache_hits", "count"},
-        {"skelcl.cache_misses", "count"},
-        {"skelcl.fused_launches", "count"},
-        {"skelcl.intermediate_bytes", "bytes"},
-        {"service.pump_ms", "ms"},
-        {"service.dispatch_us", "us"},
-        {"service.batches", "count"},
-        {"service.coalesced_jobs", "count"},
-        {"service.queue_wait_virtual_ms", "ms"},
-        {"self.vm_ms", "ms"},
-        {"self.build_ms", "ms"},
-        {"self.cache_io_ms", "ms"},
-        {"self.host_ms", "ms"},
-        {"trace.overhead_frac", "fraction"},
-    };
-    for (const auto& [name, unit] : kUnits) {
-      metrics.push_back({name, unit, m.at(name)});
+      ledger.record(name, median(values), "ms");
     }
   }
   skelcl::terminate();
-  printResult(ledger, metrics);
+  printResult(ledger);
   return 0;
 }
 

@@ -63,13 +63,12 @@ def main():
         build_dir, "runs",
         "%s-%d-%d-%d" % (args.workload, args.seed, args.trace, os.getpid()))
     os.makedirs(run_dir)
-    env = {k: v for k, v in os.environ.items() if not k.startswith("SKELCL_")}
     try:
         result = subprocess.run(
             [binary, "--workload", args.workload, "--seed", str(args.seed),
              "--seconds", str(args.seconds), "--trace", str(args.trace),
              "--run-dir", run_dir, "--root", root],
-            env=env, timeout=170)
+            timeout=170)
     except subprocess.TimeoutExpired:
         print("perfbench: run timed out", file=sys.stderr)
         return 3

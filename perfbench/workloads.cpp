@@ -20,23 +20,45 @@ namespace {
 namespace svc = skelcl::service;
 using skelcl::detail::Runtime;
 
-// Arrivals in the open-loop replay of a serial workload: enough that the
-// tail and the SLO rate hardly depend on the seed.
+// Arrivals in the open-loop replay of a serial workload.
 constexpr std::size_t kArrivals = 20000;
 
 // Offered-rate ladder shared by every workload: kLadderSteps rates, each
 // kLadderStep times the previous one, from the workload's lowest rate.
-constexpr int kLadderSteps = 256;
-constexpr double kLadderStep = 1.03;
+// The steps are fine enough that the SLO rate moves with small changes
+// in op cost.
+constexpr int kLadderSteps = 8192;
+constexpr double kLadderStep = 1.001;
 
 double ladderRate(double lowest, int step) {
   return lowest * std::pow(kLadderStep, step);
 }
 
-/// Seeded exponential inter-arrival gaps, scaled to a mean of exactly 1
-/// so every seed offers the same load over the same span.
-std::vector<double> unitGaps(std::uint64_t seed, std::size_t count) {
-  common::Xoshiro256 rng(seed ^ 0x5eedf00dULL);
+/// Highest rate on the ladder from `lowest` for which `meets` holds, by
+/// binary search (a rate that misses the SLO is taken to have no higher
+/// rate that meets it); 0 when even the lowest rate misses.
+template <typename Meets>
+double highestLadderRate(double lowest, Meets&& meets) {
+  int lo = -1, hi = kLadderSteps;
+  while (hi - lo > 1) {
+    const int mid = (lo + hi) / 2;
+    if (meets(ladderRate(lowest, mid))) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo < 0 ? 0.0 : ladderRate(lowest, lo);
+}
+
+/// The open-loop arrival stream every workload replays: exponential
+/// inter-arrival gaps scaled to a mean of exactly 1. It is a constant of
+/// the benchmark, the same for every seed: the seed picks the ops, not
+/// their arrival times. (Seeded arrivals made the virtual op latencies
+/// of ten seeds spread by up to 0.058 of their median, on a fixed stream
+/// the spread is below 0.01.)
+std::vector<double> unitGaps(std::size_t count) {
+  common::Xoshiro256 rng(0x5eedf00dULL);
   std::vector<double> gaps(count);
   double sum = 0;
   for (double& gap : gaps) {
@@ -69,10 +91,9 @@ std::vector<double> replaySerial(const std::vector<double>& serviceMs,
 
 /// The SLO rule: the tail meets the limit and the last op (whose wait
 /// carries any backlog built up over the run) does too.
-bool meetsSlo(const std::vector<double>& latencyMs, double tailQ,
-              double limitMs) {
+bool meetsSlo(const std::vector<double>& latencyMs, double limitMs) {
   return !latencyMs.empty() &&
-         percentile(latencyMs, tailQ) <= limitMs &&
+         percentile(latencyMs, kTailPercentile) <= limitMs &&
          latencyMs.back() <= limitMs;
 }
 
@@ -123,16 +144,15 @@ double msSince(std::uint64_t startNs) {
 
 /// A workload whose ops run one after another, each taking a virtual
 /// time that does not depend on when it starts. Its open-loop figures
-/// come from replaying the first round's op times against the seeded
-/// arrivals.
+/// come from replaying the first round's op times against the fixed
+/// arrival stream.
 class SerialWorkload : public Workload {
 public:
   /// `ratePerS`: the fixed offered rate; `limitMs`: the SLO latency
   /// limit; `lowestRate`: the ladder's first rate. All are constants of
   /// the workload, never derived from the code measured.
-  SerialWorkload(std::uint64_t seed, double ratePerS, double limitMs,
-                 double lowestRate)
-      : gaps_(unitGaps(seed, kArrivals)), ratePerS_(ratePerS),
+  SerialWorkload(double ratePerS, double limitMs, double lowestRate)
+      : gaps_(unitGaps(kArrivals)), ratePerS_(ratePerS),
         limitMs_(limitMs), lowestRate_(lowestRate) {}
 
   std::vector<double> scheduledLatenciesMs(const Round& first) override {
@@ -140,20 +160,10 @@ public:
   }
 
   double sloOpsPerVs(const Round& first, Ledger&) override {
-    const double q =
-        std::min(tailPercentile(), perfbench::tailPercentile(kArrivals));
-    double best = 0;
-    for (int k = 0; k < kLadderSteps; ++k) {
-      const double rate = ladderRate(lowestRate_, k);
-      if (meetsSlo(replaySerial(first.opVirtualMs, gaps_, rate), q,
-                   limitMs_)) {
-        best = rate;
-      }
-    }
-    return best;
+    return highestLadderRate(lowestRate_, [&](double rate) {
+      return meetsSlo(replaySerial(first.opVirtualMs, gaps_, rate), limitMs_);
+    });
   }
-
-  double tailPercentile() const override { return 90.0; }
 
 private:
   std::vector<double> gaps_;
@@ -170,7 +180,7 @@ class MandelbrotWorkload final : public SerialWorkload {
 public:
   // 2000 frames offered per virtual second, a 2 ms limit.
   explicit MandelbrotWorkload(std::uint64_t seed)
-      : SerialWorkload(seed, 2000.0, 2.0, 100.0) {
+      : SerialWorkload(2000.0, 2.0, 100.0) {
     common::Xoshiro256 rng(seed);
     const double targetX = -0.743643887, targetY = 0.131825904;
     double width = 3.2;
@@ -241,7 +251,7 @@ class OsemWorkload final : public SerialWorkload {
 public:
   // 400 reconstructions offered per virtual second, a 5 ms limit.
   explicit OsemWorkload(std::uint64_t seed)
-      : SerialWorkload(seed, 400.0, 5.0, 20.0) {
+      : SerialWorkload(400.0, 5.0, 20.0) {
     for (int d = 0; d < kDatasets; ++d) {
       osem::OsemParams p;
       p.vol = osem::VolumeDims{16, 16, 20, 1.0f};
@@ -313,8 +323,9 @@ private:
 //
 // An open-loop trace of small jobs from four tenants through a fair-share
 // JobServer with batching, replayed by pump() on one init() cycle. The
-// arrival schedule is fixed by the seed. A seeded share of jobs carries a
-// user function no earlier job used, so programs are built and stored
+// arrival times are the benchmark's fixed stream (unitGaps); the seed
+// picks each job's kind, tenant and inputs. A fixed share of jobs carries
+// a user function no earlier job used, so programs are built and stored
 // during the steady phase.
 
 enum class JobKind { Dot, Chain, Scan, Stencil, Spmv, Novel };
@@ -588,8 +599,8 @@ public:
     // Map/Zip chains make up most of the trace.
     std::vector<JobKind> kinds;
     const std::pair<JobKind, std::size_t> mix[] = {
-        {JobKind::Chain, 720}, {JobKind::Novel, 12}, {JobKind::Dot, 12},
-        {JobKind::Spmv, 12},   {JobKind::Scan, 6},   {JobKind::Stencil, 6}};
+        {JobKind::Chain, 2880}, {JobKind::Novel, 48}, {JobKind::Dot, 48},
+        {JobKind::Spmv, 48},   {JobKind::Scan, 24},  {JobKind::Stencil, 24}};
     for (const auto& [kind, count] : mix) {
       kinds.insert(kinds.end(), count, kind);
     }
@@ -600,7 +611,7 @@ public:
     for (std::size_t i = kinds.size(); i > 1; --i) {
       std::swap(kinds[i - 1], kinds[rng.nextBelow(i)]);
     }
-    const std::vector<double> gaps = unitGaps(seed, kinds.size());
+    const std::vector<double> gaps = unitGaps(kinds.size());
     double t = 0;
     for (std::size_t j = 0; j < kinds.size(); ++j) {
       const std::size_t tenant = std::size_t(rng.nextBelow(kTenants));
@@ -658,14 +669,8 @@ public:
   }
 
   double sloOpsPerVs(const Round&, Ledger& ledger) override {
-    const double q =
-        std::min(tailPercentile(), perfbench::tailPercentile(kJobs));
-    // Binary search on the ladder, assuming a rate that misses the SLO
-    // is not followed by a higher one that meets it.
-    int lo = -1, hi = kLadderSteps;
-    while (hi - lo > 1) {
-      const int mid = (lo + hi) / 2;
-      Trace trace = replay(ladderRate(kLowestRate, mid));
+    return highestLadderRate(kLowestRate, [&](double rate) {
+      Trace trace = replay(rate);
       check(trace, ledger);
       // Handles are in arrival order, so the last latency carries the
       // backlog.
@@ -673,16 +678,9 @@ public:
       for (const svc::JobHandle& handle : trace.handles) {
         latency.push_back(double(handle.stats().latencyNs()) * 1e-6);
       }
-      if (meetsSlo(latency, q, kLimitMs)) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo < 0 ? 0.0 : ladderRate(kLowestRate, lo);
+      return meetsSlo(latency, kLimitMs);
+    });
   }
-
-  double tailPercentile() const override { return 90.0; }
 
 private:
   struct Trace {
@@ -748,7 +746,7 @@ private:
     }
   }
 
-  static constexpr std::size_t kJobs = 768;
+  static constexpr std::size_t kJobs = 3072;
   static constexpr std::size_t kTenants = 4;
   // Jobs offered per virtual second, the SLO limit and the ladder's
   // lowest rate: fixed constants, never derived from the code measured.

@@ -12,6 +12,10 @@
 
 namespace perfbench {
 
+/// Percentile of the virtual op latencies reported as the tail and used
+/// by the SLO rule, on every workload.
+constexpr double kTailPercentile = 90.0;
+
 class Workload {
 public:
   virtual ~Workload() = default;
@@ -30,8 +34,6 @@ public:
   /// second, whose tail virtual latency meets the workload's limit and
   /// whose last op completes within the limit of its arrival.
   virtual double sloOpsPerVs(const Round& first, Ledger& ledger) = 0;
-  /// Percentile reported as the tail when enough samples exist.
-  virtual double tailPercentile() const = 0;
   /// Whether virtual time, kernel cycles and outputs repeat bit for bit.
   virtual bool bitExact() const { return true; }
 };

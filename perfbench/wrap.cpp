@@ -1,13 +1,15 @@
 // Layer-boundary spans without touching the library: the link step wraps
 // the clc entry points the ocl layer calls (`-Wl,--wrap=<symbol>`, see
-// CMakeLists.txt), so every call from ocl into the compiler, optimizer,
+// perfbench.cmake), so every call from ocl into the compiler, optimizer,
 // serializer and VM passes through one of the functions below, which
 // opens a span and forwards to the real definition.
 //
 // The `__real_` references are weak: if a later change renames or
-// re-signs one of these functions, the wrap no longer matches, the
-// wrapper is simply never called, and the benchmark still links and
-// runs (its ledger then loses that one layer).
+// re-signs one of these functions, the wrap no longer matches and the
+// wrapper is never called, but the benchmark still links. The traced run
+// then fails its checks (checkWrappedSpans() below, and the clc.vm span
+// every traced round must record) instead of reporting a layer at 0.
+#include <set>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "clc/serialize.h"
 #include "clc/vm.h"
 #include "harness.h"
+#include "layers.h"
 
 #define PERFBENCH_REAL(sym) __asm__("__real_" sym) __attribute__((weak))
 #define PERFBENCH_WRAP(sym) __asm__("__wrap_" sym)
@@ -84,3 +87,41 @@ clc::LaunchStats wrapExecute(const clc::Program& program,
 }
 
 } // namespace perfbench::wrapped
+
+namespace perfbench {
+
+void checkWrappedSpans(Ledger& ledger) {
+  constexpr std::int64_t kProbeRound = -2;
+  Spans::setRound(kProbeRound);
+  Spans::enable(true);
+  clc::Program program =
+      clc::compile("__kernel void probe(__global int* out) { out[0] = 7; }");
+  clc::optimize(program, clc::OptLevel::O2);
+  const clc::Program loaded =
+      clc::deserializeProgram(clc::serializeProgram(program));
+  std::int32_t out = 0;
+  clc::KernelArgValue arg;
+  arg.kind = clc::KernelArgValue::Kind::Buffer;
+  arg.segmentIndex = 0;
+  (void)clc::executeKernel(
+      loaded, "probe", clc::NDRange{}, {arg},
+      {clc::Segment{reinterpret_cast<std::uint8_t*>(&out), sizeof out}},
+      nullptr);
+  Spans::enable(false);
+  ledger.check(out == 7, "wrap probe kernel output");
+
+  std::set<std::string> seen;
+  for (const Span& span : Spans::snapshot()) {
+    if (span.round == kProbeRound) {
+      seen.insert(span.name);
+    }
+  }
+  for (const char* name :
+       {"clc.compile", "clc.opt", "clc.serialize", "clc.deserialize",
+        "clc.vm"}) {
+    ledger.check(seen.count(name) == 1,
+                 std::string("wrapped clc entry point records span ") + name);
+  }
+}
+
+} // namespace perfbench
