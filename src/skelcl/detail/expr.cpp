@@ -126,28 +126,58 @@ std::string elementwiseKernelName(const FusionPlan& plan) {
   return plan.leaves.size() == 1 ? "skelcl_map" : "skelcl_zip";
 }
 
+/// "__global const T0* skelcl_in0, ..., " — one read-only parameter per
+/// leaf occurrence, opening every generated kernel's parameter list.
+std::string leafParamDecls(const FusionPlan& plan) {
+  std::string params;
+  for (std::size_t i = 0; i < plan.leaves.size(); ++i) {
+    params += "__global const " + plan.leafTypes[i] + "* skelcl_in" +
+              std::to_string(i) + ", ";
+  }
+  return params;
+}
+
+/// An output-less ("void") plan calls the chain for its side effects on
+/// argument vectors and declares no skelcl_out parameter.
 std::string elementwiseSource(const FusionPlan& plan,
                               const std::string& outType) {
-  std::string src =
-      registeredTypeDefinitions() + plan.functionsSource +
-      "\n__kernel void " + elementwiseKernelName(plan) + "(";
-  for (std::size_t i = 0; i < plan.leaves.size(); ++i) {
-    src += "__global const " + plan.leafTypes[i] + "* skelcl_in" +
-           std::to_string(i) + ", ";
-  }
-  src += "__global " + outType + "* skelcl_out, uint skelcl_n" +
-         plan.argDecls +
+  const bool writes = outType != "void";
+  return registeredTypeDefinitions() + plan.functionsSource +
+         "\n__kernel void " + elementwiseKernelName(plan) + "(" +
+         leafParamDecls(plan) +
+         (writes ? "__global " + outType + "* skelcl_out, " : "") +
+         "uint skelcl_n" + plan.argDecls +
          ") {\n"
          "  size_t skelcl_i = get_global_id(0);\n"
          "  if (skelcl_i < skelcl_n) {\n"
-         "    skelcl_out[skelcl_i] = " +
+         "    " + (writes ? "skelcl_out[skelcl_i] = " : "") +
          substituteIndex(plan.loadExpr, "skelcl_i") +
          ";\n"
          "  }\n"
          "}\n";
-  return src;
 }
 
+/// Takes every distinct leaf's split-upload pieces on `deviceIndex`; a
+/// leaf uploaded in one piece contributes its ready event to `deps`
+/// instead.
+std::vector<UploadPieces> takeLeafUploads(
+    const std::vector<VectorStateBase*>& distinct, std::size_t deviceIndex,
+    std::vector<ocl::Event>& deps) {
+  std::vector<UploadPieces> pieces;
+  pieces.reserve(distinct.size());
+  for (VectorStateBase* leaf : distinct) {
+    pieces.push_back(leaf->takeUploadPieces(deviceIndex));
+    if (pieces.back().empty()) {
+      appendEvent(deps, leaf->readyEventOn(deviceIndex));
+    }
+  }
+  return pieces;
+}
+
+/// Runs a Map/Zip plan. A null `out` marks an output-less Map<T, void>
+/// node: it writes no result and records no output event, and because it
+/// may scatter anywhere in its argument vectors each launch waits for
+/// the whole input chunk — no sub-launches against upload pieces.
 void runElementwise(const std::shared_ptr<ExprNode>& node,
                     const std::shared_ptr<VectorStateBase>& out,
                     const FusionPlan& plan, Runtime& runtime,
@@ -164,7 +194,7 @@ void runElementwise(const std::shared_ptr<ExprNode>& node,
       break;
     }
   }
-  if (!aliased) {
+  if (out != nullptr && !aliased) {
     out->allocateLikeBase(leaf0);
   }
 
@@ -188,36 +218,35 @@ void runElementwise(const std::shared_ptr<ExprNode>& node,
         kernel.setArg(arg++,
                       leaf->chunkForDevice(chunk.deviceIndex).buffer);
       }
-      kernel.setArg(arg++,
-                    out->chunkForDevice(chunk.deviceIndex).buffer);
+      if (out != nullptr) {
+        kernel.setArg(arg++,
+                      out->chunkForDevice(chunk.deviceIndex).buffer);
+      }
       kernel.setArg(arg++, std::uint32_t(chunk.count));
       bindStageArguments(plan, kernel, arg, chunk.deviceIndex);
 
       // The launch depends on every distinct operand's upload — piecewise
       // where split, so sub-launches pipeline against whichever transfer
       // streams last — plus any stage argument vectors.
-      std::vector<UploadPieces> pieces;
-      pieces.reserve(distinct.size());
       std::vector<ocl::Event> deps;
-      for (VectorStateBase* leaf : distinct) {
-        pieces.push_back(leaf->takeUploadPieces(chunk.deviceIndex));
-        if (pieces.back().empty()) {
+      std::vector<UploadPieces> pieces;
+      if (out != nullptr) {
+        pieces = takeLeafUploads(distinct, chunk.deviceIndex, deps);
+      } else {
+        for (VectorStateBase* leaf : distinct) {
           appendEvent(deps, leaf->readyEventOn(chunk.deviceIndex));
         }
       }
       collectStageDeps(plan, deps, chunk.deviceIndex);
 
-      std::vector<const UploadPieces*> pieceLists;
-      pieceLists.reserve(pieces.size());
-      for (const UploadPieces& list : pieces) {
-        pieceLists.push_back(&list);
-      }
       const std::size_t wg =
           effectiveWorkGroupSize(node->workGroupSize, device);
       ocl::Event done =
           launchPipelined(runtime.queue(chunk.deviceIndex), kernel,
-                          chunk.count, wg, deps, pieceLists);
-      out->recordEventOn(chunk.deviceIndex, done);
+                          chunk.count, wg, deps, pieces);
+      if (out != nullptr) {
+        out->recordEventOn(chunk.deviceIndex, done);
+      }
       recordStageEvents(plan, done, chunk.deviceIndex);
     } catch (ocl::ClError& e) {
       e.prependContext(plan.label + " skeleton on device " +
@@ -225,7 +254,9 @@ void runElementwise(const std::shared_ptr<ExprNode>& node,
       throw;
     }
   }
-  out->markDevicesModified();
+  if (out != nullptr) {
+    out->markDevicesModified();
+  }
 }
 
 // --- Reduce plans --------------------------------------------------------
@@ -317,14 +348,9 @@ std::string plainReduceSource(const std::shared_ptr<ExprNode>& node) {
 
 std::string fusedReduceSource(const std::shared_ptr<ExprNode>& node,
                               const FusionPlan& plan) {
-  std::string leafParams;
-  for (std::size_t i = 0; i < plan.leaves.size(); ++i) {
-    leafParams += "__global const " + plan.leafTypes[i] + "* skelcl_in" +
-                  std::to_string(i) + ", ";
-  }
   return registeredTypeDefinitions() + plan.functionsSource +
-         reduceKernelSource("skelcl_mapreduce", leafParams, plan.argDecls,
-                            node->outType, plan.rootFuncName,
+         reduceKernelSource("skelcl_mapreduce", leafParamDecls(plan),
+                            plan.argDecls, node->outType, plan.rootFuncName,
                             plan.loadExpr, /*pipelined=*/true);
 }
 
@@ -370,21 +396,21 @@ std::pair<ocl::Buffer, ocl::Event> reducePlain(
 ocl::Event launchReduceFirstPass(
     ocl::CommandQueue& queue, ocl::Kernel& kernel, std::size_t groups,
     std::size_t count, const std::vector<ocl::Event>& baseDeps,
-    const std::vector<const UploadPieces*>& pieceLists) {
+    const std::vector<UploadPieces>& pieceLists) {
   const UploadPieces* driver = nullptr;
-  for (const UploadPieces* list : pieceLists) {
-    if (list->size() > 1 &&
-        (driver == nullptr || list->size() > driver->size())) {
-      driver = list;
+  for (const UploadPieces& list : pieceLists) {
+    if (list.size() > 1 &&
+        (driver == nullptr || list.size() > driver->size())) {
+      driver = &list;
     }
   }
   // Pipelining pays only when each piece unlocks whole groups; with
   // fewer than ~2 groups per piece, run the classic single launch.
   if (driver == nullptr || groups < 2 * driver->size()) {
     std::vector<ocl::Event> deps = baseDeps;
-    for (const UploadPieces* list : pieceLists) {
-      if (!list->empty()) {
-        appendEvent(deps, list->back().second);
+    for (const UploadPieces& list : pieceLists) {
+      if (!list.empty()) {
+        appendEvent(deps, list.back().second);
       }
     }
     return queue.enqueueNDRange(
@@ -405,9 +431,9 @@ ocl::Event launchReduceFirstPass(
     }
     std::vector<ocl::Event> deps = baseDeps;
     const std::size_t elemEnd = std::min(gEnd * span, count);
-    for (const UploadPieces* list : pieceLists) {
-      if (!list->empty()) {
-        appendEvent(deps, pieceCovering(*list, elemEnd));
+    for (const UploadPieces& list : pieceLists) {
+      if (!list.empty()) {
+        appendEvent(deps, pieceCovering(list, elemEnd));
       }
     }
     last = queue.enqueueNDRange(
@@ -465,19 +491,8 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
         auto& queue = runtime.queue(chunk.deviceIndex);
         const auto& device = runtime.devices()[chunk.deviceIndex];
         collectStageDeps(plan, deps, chunk.deviceIndex);
-        std::vector<UploadPieces> pieces;
-        pieces.reserve(distinct.size());
-        for (VectorStateBase* leaf : distinct) {
-          pieces.push_back(leaf->takeUploadPieces(chunk.deviceIndex));
-          if (pieces.back().empty()) {
-            appendEvent(deps, leaf->readyEventOn(chunk.deviceIndex));
-          }
-        }
-        std::vector<const UploadPieces*> pieceLists;
-        pieceLists.reserve(pieces.size());
-        for (const UploadPieces& list : pieces) {
-          pieceLists.push_back(&list);
-        }
+        const std::vector<UploadPieces> pieces =
+            takeLeafUploads(distinct, chunk.deviceIndex, deps);
         const std::size_t groups =
             std::min(kReduceMaxGroups, (count + kTreeWg - 1) / kTreeWg);
         ocl::Buffer mapped =
@@ -494,7 +509,7 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
         kernel.setArg(arg++, std::uint32_t(groups));
         bindStageArguments(plan, kernel, arg, chunk.deviceIndex);
         ocl::Event first = launchReduceFirstPass(queue, kernel, groups,
-                                                 count, deps, pieceLists);
+                                                 count, deps, pieces);
         recordStageEvents(plan, first, chunk.deviceIndex);
         deps = {first};
         in = std::move(mapped);
@@ -647,53 +662,49 @@ std::string plainScanSource(const std::shared_ptr<ExprNode>& node) {
 
 std::string fusedScanSource(const std::shared_ptr<ExprNode>& node,
                             const FusionPlan& plan) {
-  std::string leafParams;
-  for (std::size_t i = 0; i < plan.leaves.size(); ++i) {
-    leafParams += "__global const " + plan.leafTypes[i] + "* skelcl_in" +
-                  std::to_string(i) + ", ";
-  }
   return registeredTypeDefinitions() + plan.functionsSource +
-         scanBlockKernelSource(leafParams, plan.argDecls, node->outType,
-                               plan.rootFuncName, node->identityExpr,
-                               plan.loadExpr);
+         scanBlockKernelSource(leafParamDecls(plan), plan.argDecls,
+                               node->outType, plan.rootFuncName,
+                               node->identityExpr, plan.loadExpr);
 }
 
-/// Recursive plain scan over a device buffer — the eager
-/// Scan::scanBuffer, parameterized on element size.
-ocl::Event scanPlain(Runtime& runtime, ocl::Program& program,
-                     const ocl::Buffer& in, const ocl::Buffer& out,
-                     std::size_t n, std::size_t elem,
-                     std::size_t deviceIndex,
-                     const std::vector<ocl::Event>& deps) {
+/// Finishes a scan whose level-0 block pass (`blocked`) left one sum per
+/// work-group in `sums`: scans the sums with the plain block kernel,
+/// recursing while they span several groups, then adds them back to
+/// every block of `out` with the uniform-add pass.
+ocl::Event scanBlockSums(Runtime& runtime, ocl::Program& program,
+                         const ocl::Buffer& out, const ocl::Buffer& sums,
+                         std::size_t n, std::size_t elem,
+                         std::size_t deviceIndex, ocl::Event blocked) {
+  const std::size_t groups = (n + kTreeWg - 1) / kTreeWg;
+  if (groups <= 1) {
+    return blocked;
+  }
   auto& queue = runtime.queue(deviceIndex);
   const auto& device = runtime.devices()[deviceIndex];
-  const std::size_t groups = (n + kTreeWg - 1) / kTreeWg;
-  ocl::Buffer sums =
+  const std::size_t sumGroups = (groups + kTreeWg - 1) / kTreeWg;
+  ocl::Buffer sumsScanned =
       runtime.context().createBuffer(device, groups * elem);
+  ocl::Buffer sumSums =
+      runtime.context().createBuffer(device, sumGroups * elem);
 
   ocl::Kernel block = program.createKernel("skelcl_scan_block");
-  block.setArg(0, in);
-  block.setArg(1, out);
-  block.setArg(2, sums);
-  block.setArg(3, std::uint32_t(n));
-  ocl::Event blocked = queue.enqueueNDRange(
-      block, ocl::NDRange1D{groups * kTreeWg, kTreeWg}, deps);
+  block.setArg(0, sums);
+  block.setArg(1, sumsScanned);
+  block.setArg(2, sumSums);
+  block.setArg(3, std::uint32_t(groups));
+  ocl::Event sumsBlocked = queue.enqueueNDRange(
+      block, ocl::NDRange1D{sumGroups * kTreeWg, kTreeWg}, {blocked});
+  ocl::Event sumsDone =
+      scanBlockSums(runtime, program, sumsScanned, sumSums, groups, elem,
+                    deviceIndex, std::move(sumsBlocked));
 
-  if (groups > 1) {
-    ocl::Buffer sumsScanned =
-        runtime.context().createBuffer(device, groups * elem);
-    ocl::Event sumsDone = scanPlain(runtime, program, sums, sumsScanned,
-                                    groups, elem, deviceIndex, {blocked});
-
-    ocl::Kernel add = program.createKernel("skelcl_scan_add");
-    add.setArg(0, out);
-    add.setArg(1, sumsScanned);
-    add.setArg(2, std::uint32_t(n));
-    return queue.enqueueNDRange(
-        add, ocl::NDRange1D{groups * kTreeWg, kTreeWg},
-        {blocked, sumsDone});
-  }
-  return blocked;
+  ocl::Kernel add = program.createKernel("skelcl_scan_add");
+  add.setArg(0, out);
+  add.setArg(1, sumsScanned);
+  add.setArg(2, std::uint32_t(n));
+  return queue.enqueueNDRange(add, ocl::NDRange1D{groups * kTreeWg, kTreeWg},
+                              {blocked, sumsDone});
 }
 
 void runScan(const std::shared_ptr<ExprNode>& node,
@@ -719,13 +730,17 @@ void runScan(const std::shared_ptr<ExprNode>& node,
   const Chunk& chunk = leaf0.chunks().front();
   const std::size_t deviceIndex = chunk.deviceIndex;
   const auto& device = runtime.devices()[deviceIndex];
-  const bool fused = plan.fusedStages > 0;
 
   ocl::Program& plainProgram =
       runtime.programFor(plainScanSource(node), salt);
-  ocl::Program* fusedProgram =
-      fused ? &runtime.programFor(fusedScanSource(node, plan), salt)
-            : nullptr;
+  // Level 0 of a fused plan evaluates the absorbed chain while loading
+  // the Blelloch tree; an unfused plan's single leaf binds the same way
+  // to the plain block kernel. The recursion over block sums and the
+  // uniform add pass read plain buffers either way.
+  ocl::Program& level0Program =
+      plan.fusedStages > 0
+          ? runtime.programFor(fusedScanSource(node, plan), salt)
+          : plainProgram;
 
   try {
     ocl::Buffer outBuf =
@@ -743,53 +758,23 @@ void runScan(const std::shared_ptr<ExprNode>& node,
     }
     collectStageDeps(plan, deps, deviceIndex);
 
-    // Level 0: fused plans evaluate the absorbed chain while loading
-    // the Blelloch tree; the recursion over block sums and the uniform
-    // add pass read plain buffers either way.
-    ocl::Event blocked;
-    if (fused) {
-      ocl::Kernel block = fusedProgram->createKernel("skelcl_scan_block");
-      std::size_t arg = 0;
-      for (const auto& leaf : plan.leaves) {
-        block.setArg(arg++, leaf->chunkForDevice(deviceIndex).buffer);
-      }
-      block.setArg(arg++, outBuf);
-      block.setArg(arg++, sums);
-      block.setArg(arg++, std::uint32_t(n));
-      bindStageArguments(plan, block, arg, deviceIndex);
-      blocked = runtime.queue(deviceIndex)
-                    .enqueueNDRange(
-                        block, ocl::NDRange1D{groups * kTreeWg, kTreeWg},
-                        deps);
-      recordStageEvents(plan, blocked, deviceIndex);
-    } else {
-      ocl::Kernel block = plainProgram.createKernel("skelcl_scan_block");
-      block.setArg(0, chunk.buffer);
-      block.setArg(1, outBuf);
-      block.setArg(2, sums);
-      block.setArg(3, std::uint32_t(n));
-      blocked = runtime.queue(deviceIndex)
-                    .enqueueNDRange(
-                        block, ocl::NDRange1D{groups * kTreeWg, kTreeWg},
-                        deps);
+    ocl::Kernel block = level0Program.createKernel("skelcl_scan_block");
+    std::size_t arg = 0;
+    for (const auto& leaf : plan.leaves) {
+      block.setArg(arg++, leaf->chunkForDevice(deviceIndex).buffer);
     }
+    block.setArg(arg++, outBuf);
+    block.setArg(arg++, sums);
+    block.setArg(arg++, std::uint32_t(n));
+    bindStageArguments(plan, block, arg, deviceIndex);
+    ocl::Event blocked =
+        runtime.queue(deviceIndex)
+            .enqueueNDRange(block, ocl::NDRange1D{groups * kTreeWg, kTreeWg},
+                            deps);
+    recordStageEvents(plan, blocked, deviceIndex);
 
-    ocl::Event done = blocked;
-    if (groups > 1) {
-      ocl::Buffer sumsScanned =
-          runtime.context().createBuffer(device, groups * elem);
-      ocl::Event sumsDone =
-          scanPlain(runtime, plainProgram, sums, sumsScanned, groups,
-                    elem, deviceIndex, {blocked});
-      ocl::Kernel add = plainProgram.createKernel("skelcl_scan_add");
-      add.setArg(0, outBuf);
-      add.setArg(1, sumsScanned);
-      add.setArg(2, std::uint32_t(n));
-      done = runtime.queue(deviceIndex)
-                 .enqueueNDRange(
-                     add, ocl::NDRange1D{groups * kTreeWg, kTreeWg},
-                     {blocked, sumsDone});
-    }
+    ocl::Event done = scanBlockSums(runtime, plainProgram, outBuf, sums, n,
+                                    elem, deviceIndex, std::move(blocked));
     out->adoptDeviceBufferBase(std::move(outBuf), n, deviceIndex,
                                std::move(done));
   } catch (ocl::ClError& e) {
@@ -858,11 +843,15 @@ void evaluateNode(const std::shared_ptr<ExprNode>& node,
     // Poison the node so later consumer flushes skip it, and detach it
     // from the output so reads do not force it again.
     node->evaluated = true;
-    out->clearPending();
+    if (out != nullptr) {
+      out->clearPending();
+    }
     throw;
   }
   node->evaluated = true;
-  out->clearPending();
+  if (out != nullptr) {
+    out->clearPending();
+  }
 }
 
 } // namespace
@@ -872,7 +861,7 @@ void forceExprNode(const std::shared_ptr<ExprNode>& node) {
     return;
   }
   // `node` may alias the output state's own pending_ member, which an
-  // evaluation clears (adoptDeviceBuffer does so mid-flight, and a
+  // evaluation clears (adoptDeviceBufferBase does so mid-flight, and a
   // scheduler drain clears it from underneath us) — pin the node first
   // so it outlives that reset.
   std::shared_ptr<ExprNode> keep = node;
@@ -1008,15 +997,15 @@ void deferNode(const std::shared_ptr<ExprNode>& node,
 
 void evaluateNodeInto(const std::shared_ptr<ExprNode>& node,
                       const std::shared_ptr<VectorStateBase>& out) {
-  {
+  if (out != nullptr) {
     // `out` may alias an input, in whose consumer list this very node
     // already sits; the guard keeps it from forcing itself while the
     // *old* value's deferred readers are snapshotted.
     EvalGuard guard(node->evaluating);
     out->forcePending();
     out->forceConsumers();
+    node->output = out;
   }
-  node->output = out;
   evaluateNode(node, out);
 }
 

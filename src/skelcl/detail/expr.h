@@ -10,15 +10,16 @@
 //
 //   map f . map g        ->  map (f . g)
 //   zip f . map g        ->  zip with the g-load spliced in
-//   reduce f . map g     ->  mapReduce (the hand-written MapReduce
-//                             skeleton is the special case this
-//                             generalizes)
+//   reduce f . map g     ->  mapReduce (the MapReduce skeleton is a
+//                             facade that composes exactly this)
 //   scan f . map g       ->  scan with a fused first level
 //
 // Eager-evaluation rule: a call whose Arguments reference Vectors is
 // evaluated immediately at the call site (its semantics depend on — and
 // may mutate — external state the host is free to change afterwards), as
-// are explicit-output forms. Laziness and fusion apply to pure chains.
+// are explicit-output forms and output-less Map<T, void> nodes (pure side
+// effects). Eager nodes still absorb deferred producers of their input;
+// laziness applies to pure chains.
 #pragma once
 
 #include <memory>
@@ -76,7 +77,8 @@ public:
   std::size_t workGroupSize = 0; // user override; 0 = SkelCL default
   std::vector<Input> inputs;
 
-  std::string outType;          // result element type name
+  std::string outType;          // result element type name ("void":
+                                // output-less Map, run eagerly)
   std::size_t outElemSize = 0;  // sizeof(result element)
   std::size_t outCount = 0;     // result element count
   std::size_t fanout = 0;       // deferred parents reading this node
@@ -114,7 +116,8 @@ void deferNode(const std::shared_ptr<ExprNode>& node,
 
 /// Evaluates `node` into `out` immediately (eager call sites: explicit
 /// outputs, vector-argument calls). `out`'s old value is snapshotted for
-/// any deferred readers first.
+/// any deferred readers first. A null `out` runs an output-less Map node
+/// (outType "void", Map<T, void>) for its side effects only.
 void evaluateNodeInto(const std::shared_ptr<ExprNode>& node,
                       const std::shared_ptr<VectorStateBase>& out);
 

@@ -1,11 +1,10 @@
-// Shared machinery for the skeleton implementations: generated-program
-// memoization on top of the on-disk kernel cache, launch geometry, and
+// Shared machinery for the skeleton implementations: launch geometry and
 // the event plumbing that lets skeleton launches pipeline against split
-// uploads instead of serializing behind a finish().
+// uploads instead of serializing behind a finish(). Generated programs
+// are memoized in one place, Runtime::programFor.
 #pragma once
 
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -13,26 +12,6 @@
 #include "skelcl/detail/source_utils.h"
 
 namespace skelcl::detail {
-
-/// Per-skeleton-instance memo: the same generated source is built once
-/// per process (the disk cache then makes *cross-process* reuse cheap,
-/// which is the effect the paper measures).
-class ProgramMemo {
-public:
-  ocl::Program& get(const std::string& source) {
-    auto it = programs_.find(source);
-    if (it == programs_.end()) {
-      auto& runtime = Runtime::instance();
-      ocl::Program program = runtime.kernelCache().getOrBuild(
-          runtime.context(), source, kDefaultBuildOptions);
-      it = programs_.emplace(source, std::move(program)).first;
-    }
-    return it->second;
-  }
-
-private:
-  std::unordered_map<std::string, ocl::Program> programs_;
-};
 
 inline std::size_t roundUp(std::size_t n, std::size_t multiple) {
   return (n + multiple - 1) / multiple * multiple;
@@ -97,14 +76,14 @@ inline ocl::Event pieceCovering(const UploadPieces& pieces,
 inline ocl::Event launchPipelined(
     ocl::CommandQueue& queue, ocl::Kernel& kernel, std::size_t count,
     std::size_t wg, const std::vector<ocl::Event>& baseDeps,
-    const std::vector<const UploadPieces*>& pieceLists) {
+    const std::vector<UploadPieces>& pieceLists) {
   constexpr std::size_t kMinWavesPerSlice = 4;
   const std::size_t total = roundUp(count, wg);
   const UploadPieces* driver = nullptr;
-  for (const UploadPieces* list : pieceLists) {
-    if (list != nullptr && list->size() > 1 &&
-        (driver == nullptr || list->size() > driver->size())) {
-      driver = list;
+  for (const UploadPieces& list : pieceLists) {
+    if (list.size() > 1 &&
+        (driver == nullptr || list.size() > driver->size())) {
+      driver = &list;
     }
   }
   if (driver != nullptr) {
@@ -117,9 +96,9 @@ inline ocl::Event launchPipelined(
   }
   if (driver == nullptr || total <= wg) {
     std::vector<ocl::Event> deps = baseDeps;
-    for (const UploadPieces* list : pieceLists) {
-      if (list != nullptr && !list->empty()) {
-        appendEvent(deps, list->back().second);
+    for (const UploadPieces& list : pieceLists) {
+      if (!list.empty()) {
+        appendEvent(deps, list.back().second);
       }
     }
     return queue.enqueueNDRange(kernel, ocl::NDRange1D{total, wg}, deps);
@@ -134,10 +113,8 @@ inline ocl::Event launchPipelined(
       continue; // piece smaller than a work-group: next slice absorbs it
     }
     std::vector<ocl::Event> deps = baseDeps;
-    for (const UploadPieces* list : pieceLists) {
-      if (list != nullptr) {
-        appendEvent(deps, pieceCovering(*list, std::min(end, count)));
-      }
+    for (const UploadPieces& list : pieceLists) {
+      appendEvent(deps, pieceCovering(list, std::min(end, count)));
     }
     last = queue.enqueueNDRange(kernel,
                                 ocl::NDRange1D{end - begin, wg, begin}, deps);

@@ -2,6 +2,8 @@
 
 #include "clc/lexer.h"
 #include "skelcl/detail/runtime.h"
+#include "skelcl/detail/skeleton_common.h"
+#include "skelcl/vector.h"
 #include "skelcl/type_name.h"
 
 namespace skelcl::detail {
@@ -111,8 +113,11 @@ std::string registeredTypeDefinitions() {
   return TypeRegistry::instance().definitions();
 }
 
-ocl::Program buildCombineProgram(const std::string& elementType,
-                                 const std::string& combineSource) {
+void combineCopiesIntoBlocks(const std::vector<Chunk>& copies,
+                             std::vector<Chunk>& blocks,
+                             std::size_t elemSize,
+                             const std::string& elementType,
+                             const std::string& combineSource) {
   const std::string name = userFunctionName(combineSource);
   std::string source = registeredTypeDefinitions();
   source += combineSource;
@@ -125,8 +130,69 @@ ocl::Program buildCombineProgram(const std::string& elementType,
             "(dst[i], src[i]);\n"
             "}\n";
   auto& runtime = Runtime::instance();
-  return runtime.kernelCache().getOrBuild(runtime.context(), source,
-                                          kDefaultBuildOptions);
+  ocl::Program program = runtime.kernelCache().getOrBuild(
+      runtime.context(), source, kDefaultBuildOptions);
+
+  for (Chunk& block : blocks) {
+    const std::size_t d = block.deviceIndex;
+    const std::size_t bytes = block.count * elemSize;
+    try {
+      auto& queue = runtime.queue(d);
+      const auto& device = runtime.devices()[d];
+      block.buffer = runtime.context().createBuffer(
+          device, std::max<std::size_t>(1, bytes));
+      if (block.count == 0) {
+        // This device's share rounded to zero elements; seeding or
+        // folding it would enqueue zero-size device commands.
+        continue;
+      }
+      // Own portion seeds the block (depends on the chunk being valid).
+      std::vector<ocl::Event> seedDeps;
+      appendEvent(seedDeps, copies[d].ready);
+      ocl::Event seeded = queue.enqueueCopyBuffer(
+          copies[d].buffer, block.offset * elemSize, block.buffer, 0, bytes,
+          seedDeps);
+      // Fold in every other device's copy of the same region. Two temp
+      // buffers double-buffer the pipeline: the cross-device copy of
+      // portion j+1 streams over PCIe into one temp while the combine
+      // kernel folds the other temp into the block.
+      ocl::Buffer temps[2];
+      ocl::Event tempFree[2]; // last kernel that *read* each temp
+      temps[0] = runtime.context().createBuffer(
+          device, std::max<std::size_t>(1, bytes));
+      temps[1] = runtime.context().createBuffer(
+          device, std::max<std::size_t>(1, bytes));
+      ocl::Event folded = seeded;
+      std::size_t slot = 0;
+      for (std::size_t j = 0; j < copies.size(); ++j) {
+        if (j == d) {
+          continue;
+        }
+        std::vector<ocl::Event> copyDeps;
+        appendEvent(copyDeps, copies[j].ready);
+        appendEvent(copyDeps, tempFree[slot]);
+        ocl::Event copied = queue.enqueueCopyBuffer(
+            copies[j].buffer, block.offset * elemSize, temps[slot], 0,
+            bytes, copyDeps);
+        ocl::Kernel kernel = program.createKernel("skelcl_combine");
+        kernel.setArg(0, block.buffer);
+        kernel.setArg(1, temps[slot]);
+        kernel.setArg(2, std::uint32_t(block.count));
+        const std::size_t wg =
+            effectiveWorkGroupSize(/*userChoice=*/0, device);
+        folded = queue.enqueueNDRange(
+            kernel, ocl::NDRange1D{roundUp(block.count, wg), wg},
+            {copied, folded});
+        tempFree[slot] = folded;
+        slot ^= 1;
+      }
+      block.ready = folded;
+    } catch (ocl::ClError& e) {
+      e.prependContext("combine redistribution on device " +
+                       std::to_string(d));
+      throw;
+    }
+  }
 }
 
 } // namespace skelcl::detail

@@ -1,4 +1,5 @@
-// Helpers for handling user-supplied OpenCL-C function strings.
+// Helpers for handling user-supplied OpenCL-C function strings, and the
+// combine redistribution that launches one (copy -> block).
 #pragma once
 
 #include <string>
@@ -30,14 +31,24 @@ std::vector<std::string> collectTopLevelFunctionNames(
 std::string renameUserFunctions(const std::string& source,
                                 const std::string& prefix);
 
-/// Builds (with kernel-cache support) the element-wise combine program
+struct Chunk;
+
+/// Collapses a copy distribution into a block distribution with a user
+/// combine operator, entirely device-side (paper Sec. IV-B: "reduce
+/// (element-wise add) all copies of error image"). `copies` holds one
+/// chunk per device in device order; `blocks` arrives with offsets and
+/// counts laid out and leaves with each block's buffer and ready event.
+/// Every block is seeded from its own device's copy, then the element-
+/// wise kernel
 ///   __kernel void skelcl_combine(__global T* dst, __global const T* src,
 ///                                uint n) { dst[i] = f(dst[i], src[i]); }
-/// used when collapsing a copy-distribution into a block-distribution
-/// with a user combine operator (paper Sec. IV-B: "reduce (element-wise
-/// add) all copies of error image").
-ocl::Program buildCombineProgram(const std::string& elementType,
-                                 const std::string& combineSource);
+/// folds in every other device's copy of the same region. `copies` is
+/// never modified, so on failure the caller keeps its old chunks.
+void combineCopiesIntoBlocks(const std::vector<Chunk>& copies,
+                             std::vector<Chunk>& blocks,
+                             std::size_t elemSize,
+                             const std::string& elementType,
+                             const std::string& combineSource);
 
 /// The concatenated OpenCL-side definitions of every registered user
 /// struct type, prepended to all generated kernels.

@@ -17,8 +17,8 @@
 // Invocation is lazy: the call builds an expression-DAG node and the
 // reduction runs when the Scalar is read. A deferred element-wise
 // producer feeding the reduce is absorbed into the first reduction pass
-// (reduce f . map g -> mapReduce — the rewrite the hand-written
-// MapReduce skeleton is the special case of).
+// (reduce f . map g -> mapReduce — the rewrite the MapReduce facade in
+// map_reduce.h is built on).
 #pragma once
 
 #include <string>

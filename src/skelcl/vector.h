@@ -143,8 +143,12 @@ public:
     }
   }
 
-  /// Registers a deferred node that reads this state.
+  /// Registers a node that reads this state. Readers that are already
+  /// gone are pruned first: eager calls (Map<T, void> in a loop) register
+  /// too, and each dead weak_ptr would pin its node's allocation.
   void addConsumer(const std::shared_ptr<ExprNode>& node) {
+    std::erase_if(consumers_,
+                  [](const std::weak_ptr<ExprNode>& w) { return w.expired(); });
     consumers_.emplace_back(node);
   }
 
@@ -289,73 +293,14 @@ public:
                                trace::kNoDevice,
                                host_.size() * sizeof(T));
 
-    ocl::Program program =
-        buildCombineProgram(typeName<T>(), combineSource);
-
     // Failure atomicity: chunks_/dist_ are replaced only after every
     // block has been fully enqueued. A transfer or launch failure
     // mid-combine discards the half-built blocks; the vector stays
     // copy-distributed with its old chunks and host data untouched, so
     // the caller can retry the redistribution after handling the error.
     std::vector<Chunk> blocks = blockLayout(devices);
-    for (Chunk& block : blocks) {
-      const std::size_t d = block.deviceIndex;
-      try {
-        auto& queue = runtime.queue(d);
-        const auto& device = runtime.devices()[d];
-        block.buffer = runtime.context().createBuffer(
-            device, std::max<std::size_t>(1, block.count * sizeof(T)));
-        if (block.count == 0) {
-          // This device's share rounded to zero elements; seeding or
-          // folding it would enqueue zero-size device commands.
-          continue;
-        }
-        // Own portion seeds the block (depends on the chunk being valid).
-        ocl::Event seeded = queue.enqueueCopyBuffer(
-            chunks_[d].buffer, block.offset * sizeof(T), block.buffer, 0,
-            block.count * sizeof(T), depsOf(chunks_[d]));
-        // Fold in every other device's copy of the same region. Two temp
-        // buffers double-buffer the pipeline: the cross-device copy of
-        // portion j+1 streams over PCIe into one temp while the combine
-        // kernel folds the other temp into the block.
-        ocl::Buffer temps[2];
-        ocl::Event tempFree[2]; // last kernel that *read* each temp
-        temps[0] = runtime.context().createBuffer(
-            device, std::max<std::size_t>(1, block.count * sizeof(T)));
-        temps[1] = runtime.context().createBuffer(
-            device, std::max<std::size_t>(1, block.count * sizeof(T)));
-        ocl::Event folded = seeded;
-        std::size_t slot = 0;
-        for (std::size_t j = 0; j < devices; ++j) {
-          if (j == d) {
-            continue;
-          }
-          std::vector<ocl::Event> copyDeps = depsOf(chunks_[j]);
-          if (tempFree[slot].valid()) {
-            copyDeps.push_back(tempFree[slot]);
-          }
-          ocl::Event copied = queue.enqueueCopyBuffer(
-              chunks_[j].buffer, block.offset * sizeof(T), temps[slot], 0,
-              block.count * sizeof(T), copyDeps);
-          ocl::Kernel kernel = program.createKernel("skelcl_combine");
-          kernel.setArg(0, block.buffer);
-          kernel.setArg(1, temps[slot]);
-          kernel.setArg(2, std::uint32_t(block.count));
-          const std::size_t wg = std::min<std::size_t>(
-              runtime.defaultWorkGroupSize(), device.maxWorkGroupSize());
-          const std::size_t global = (block.count + wg - 1) / wg * wg;
-          folded = queue.enqueueNDRange(kernel, ocl::NDRange1D{global, wg},
-                                        {copied, folded});
-          tempFree[slot] = folded;
-          slot ^= 1;
-        }
-        block.ready = folded;
-      } catch (ocl::ClError& e) {
-        e.prependContext("combine redistribution on device " +
-                         std::to_string(d));
-        throw;
-      }
-    }
+    combineCopiesIntoBlocks(chunks_, blocks, sizeof(T), typeName<T>(),
+                            combineSource);
     chunks_ = std::move(blocks);
     dist_ = Distribution::Block;
     devicesDirty_ = true;
@@ -474,9 +419,9 @@ public:
   /// a round-trip through the host). `ready` is the event of the command
   /// that produced the buffer contents; the eventual download depends on
   /// it instead of the producer having to finish() first.
-  void adoptDeviceBuffer(ocl::Buffer buffer, std::size_t count,
-                         std::size_t deviceIndex,
-                         ocl::Event ready = ocl::Event()) {
+  void adoptDeviceBufferBase(ocl::Buffer buffer, std::size_t count,
+                             std::size_t deviceIndex,
+                             ocl::Event ready) override {
     host_.assign(count, T{});
     clearPending();
     Chunk chunk;
@@ -490,13 +435,6 @@ public:
     singleDevice_ = deviceIndex;
     hostDirty_ = false;
     devicesDirty_ = true;
-  }
-
-  void adoptDeviceBufferBase(ocl::Buffer buffer, std::size_t count,
-                             std::size_t deviceIndex,
-                             ocl::Event ready) override {
-    adoptDeviceBuffer(std::move(buffer), count, deviceIndex,
-                      std::move(ready));
   }
 
   /// Allocates device chunks for an *output* vector mirroring the chunk
@@ -513,11 +451,6 @@ public:
     host_.resize(input.size());
     allocateLayout(input.chunks());
     hostDirty_ = false;
-  }
-
-  template <typename U>
-  void allocateLike(const VectorState<U>& input) {
-    allocateLikeBase(input);
   }
 
   void allocateBlockLayoutBase(const std::vector<Chunk>& layout) override {

@@ -123,6 +123,60 @@ TEST(FusionTest, ReduceAbsorbsMapIntoMapReduce) {
   });
 }
 
+TEST(FusionTest, MapReduceFacadeAbsorbsDeferredProducer) {
+  // mr(inc(x)) must plan exactly like the explicit sum(sq(inc(x))).
+  auto facade = [](RunResult& out) {
+    Map<float> inc("float fu_inc(float x) { return x + 1.0f; }");
+    skelcl::MapReduce<float> sumSq(
+        "float fu_sq(float x) { return x * x; }",
+        "float fu_sum(float a, float b) { return a + b; }");
+    Vector<float> input(testData(10000));
+    out.floats.push_back(sumSq(inc(input)).getValue());
+  };
+  auto composed = [](RunResult& out) {
+    Map<float> inc("float fu_inc(float x) { return x + 1.0f; }");
+    Map<float> square("float fu_sq(float x) { return x * x; }");
+    Reduce<float> sum("float fu_sum(float a, float b) { return a + b; }");
+    Vector<float> input(testData(10000));
+    out.floats.push_back(sum(square(inc(input))).getValue());
+  };
+  const RunResult fused = runScenario(facade, 1, /*fused=*/true);
+  const RunResult unfused = runScenario(facade, 1, /*fused=*/false);
+  const RunResult reference = runScenario(composed, 1, /*fused=*/true);
+  EXPECT_TRUE(bitIdentical(fused.floats, unfused.floats));
+  EXPECT_TRUE(bitIdentical(fused.floats, reference.floats));
+  EXPECT_EQ(fused.kernelLaunches, reference.kernelLaunches);
+  EXPECT_EQ(fused.stats.fusedStages, 2u);
+  EXPECT_EQ(fused.stats.intermediateBytes, 0u);
+}
+
+TEST(FusionTest, SideEffectMapAbsorbsDeferredProducer) {
+  // Map<int, void> runs eagerly, but through the DAG: the deferred
+  // producer of its input splices into the one side-effect kernel.
+  auto scenario = [](RunResult& out) {
+    Map<int> perm("int fu_perm(int x) { return (x * 7) % 4096; }");
+    Map<int, void> place(
+        "void fu_place(int v, __global int* seen) {"
+        " seen[(v * 5) % 4096] = v; }");
+    std::vector<int> data(4096);
+    std::iota(data.begin(), data.end(), 0);
+    Vector<int> input(data);
+    Vector<int> seen(4096, -1);
+    Arguments args;
+    args.push(seen);
+    place(perm(input), args);
+    seen.dataOnDevicesModified();
+    out.ints = seen.hostData();
+  };
+  const RunResult fused = runScenario(scenario, 1, /*fused=*/true);
+  const RunResult unfused = runScenario(scenario, 1, /*fused=*/false);
+  EXPECT_EQ(fused.ints, unfused.ints);
+  EXPECT_EQ(fused.kernelLaunches, 1u);
+  EXPECT_EQ(unfused.kernelLaunches, 2u);
+  EXPECT_EQ(fused.stats.intermediateBytes, 0u);
+  EXPECT_EQ(unfused.stats.intermediateBytes, 4096 * sizeof(int));
+}
+
 TEST(FusionTest, DotProductChainFusesToTwoLaunches) {
   auto scenario = [](RunResult& out) {
     Zip<float> mul("float fu_mul(float x, float y) { return x * y; }");

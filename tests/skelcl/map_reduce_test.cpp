@@ -3,6 +3,7 @@
 
 #include "common/prng.h"
 #include "skelcl_test_util.h"
+#include "trace/recorder.h"
 
 namespace {
 
@@ -13,6 +14,11 @@ using skelcl_test::SkelclFixture;
 class MapReduceTest : public SkelclFixture {
 protected:
   MapReduceTest() : SkelclFixture(1) {}
+
+  void TearDown() override {
+    ocl::FaultInjector::instance().reset();
+    SkelclFixture::TearDown();
+  }
 };
 
 TEST_F(MapReduceTest, SumOfSquares) {
@@ -75,6 +81,58 @@ TEST_F(MapReduceTest, EmptyReturnsIdentity) {
   MapReduce<int> product("int m(int x) { return x; }",
                          "int r(int a, int b) { return a * b; }", 1);
   EXPECT_EQ(product(empty).getValue(), 1);
+}
+
+TEST_F(MapReduceTest, EnqueuesNothingUntilGetValue) {
+  // The call only builds DAG nodes; the fused launch waits for the read.
+  MapReduce<int> sumSq("int sq_lz(int x) { return x * x; }",
+                       "int add_lz(int a, int b) { return a + b; }");
+  std::vector<int> data(1024); // the sum of squares still fits an int
+  std::iota(data.begin(), data.end(), 0);
+  Vector<int> input(data);
+  input.state().ensureOnDevices(); // the upload is not the call's work
+
+  trace::Recorder::instance().start();
+  skelcl::Scalar<int> result = sumSq(input);
+  const trace::Trace atCall = trace::Recorder::instance().stop();
+  EXPECT_TRUE(atCall.commands.empty())
+      << atCall.commands.size() << " device command(s) before getValue()";
+
+  trace::Recorder::instance().start();
+  int expected = 0;
+  for (const int v : data) {
+    expected += v * v;
+  }
+  EXPECT_EQ(result.getValue(), expected);
+  const trace::Trace atRead = trace::Recorder::instance().stop();
+  std::size_t kernels = 0;
+  for (const trace::CommandRecord& command : atRead.commands) {
+    kernels += command.kind == trace::CommandKind::Kernel ? 1 : 0;
+  }
+  EXPECT_GT(kernels, 0u);
+}
+
+TEST_F(MapReduceTest, KernelFaultSurfacesTypedAtGetValue) {
+  MapReduce<int> sumSq("int sq_kf(int x) { return x * x; }",
+                       "int add_kf(int a, int b) { return a + b; }");
+  std::vector<int> data(2048);
+  std::iota(data.begin(), data.end(), 0);
+  Vector<int> input(data);
+
+  ocl::FaultInjector::instance().configure("kernel@1");
+  skelcl::Scalar<int> result = sumSq(input); // lazy: nothing launched yet
+  try {
+    (void)result.getValue();
+    FAIL() << "expected a typed ClError at getValue()";
+  } catch (const ocl::ClError& e) {
+    EXPECT_NE(std::string(e.what()).find("skeleton on device 0"),
+              std::string::npos)
+        << e.what();
+  }
+  ocl::FaultInjector::instance().reset();
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    ASSERT_EQ(input[i], data[i]) << i;
+  }
 }
 
 class MapReduceMultiDevice

@@ -11,8 +11,11 @@ namespace {
 using skelcl::Distribution;
 using skelcl::Vector;
 
+// gtest prints a parameter without operator<< as its raw bytes, and that
+// text becomes part of each test's name. Both fields are full words so the
+// struct has no padding: the name must not depend on uninitialised bytes.
 struct Config {
-  std::uint32_t gpus;
+  std::size_t gpus;
   std::size_t size;
 };
 
@@ -20,7 +23,8 @@ class SkeletonProperty : public ::testing::TestWithParam<Config> {
 protected:
   void SetUp() override {
     skelcl_test::useTempCacheDir();
-    ocl::configureSystem(ocl::SystemConfig::teslaS1070(GetParam().gpus));
+    ocl::configureSystem(
+        ocl::SystemConfig::teslaS1070(std::uint32_t(GetParam().gpus)));
     skelcl::init(skelcl::DeviceSelection::nGPUs(GetParam().gpus));
   }
   void TearDown() override { skelcl::terminate(); }
