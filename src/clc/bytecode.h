@@ -28,7 +28,18 @@ enum class TypeTag : std::uint8_t {
   Ptr, // alias of U64 with pointer semantics; kept for disassembly clarity
 };
 
-std::size_t typeTagSize(TypeTag tag) noexcept;
+constexpr std::size_t typeTagSize(TypeTag tag) noexcept {
+  switch (tag) {
+    case TypeTag::I8:
+    case TypeTag::U8: return 1;
+    case TypeTag::I16:
+    case TypeTag::U16: return 2;
+    case TypeTag::I32:
+    case TypeTag::U32:
+    case TypeTag::F32: return 4;
+    default: return 8;
+  }
+}
 const char* typeTagName(TypeTag tag) noexcept;
 
 enum class Op : std::uint8_t {
@@ -192,6 +203,12 @@ struct KernelInfo {
   std::uint32_t functionIndex = 0;
   /// Bytes of statically declared __local variables.
   std::uint32_t staticLocalSize = 0;
+
+  // Proven by clc::verify() (verify.h); not serialized.
+  /// Peak operand-stack depth, taken over the functions the kernel calls.
+  std::uint32_t maxOperands = 0;
+  /// True when the kernel or a function it calls contains a barrier.
+  bool hasBarrier = true;
 };
 
 /// A fully compiled translation unit.
@@ -210,6 +227,13 @@ struct Program {
   std::vector<std::uint32_t> cycleCosts;
   /// Optimization level the code was produced at (0 = raw codegen output).
   std::uint8_t optLevel = 0;
+
+  // Set by clc::verify() (verify.h); not serialized. Editing the code
+  // invalidates both, and the VM runs only verified programs.
+  /// Cycles the VM charges per instruction: cycleCosts when present,
+  /// otherwise instrCycleCost() of each instruction.
+  std::vector<std::uint32_t> chargedCosts;
+  bool verified = false;
 
   const KernelInfo* findKernel(const std::string& name) const noexcept {
     for (const auto& k : kernels) {

@@ -12,9 +12,8 @@ namespace clc {
 /// Generates a Program from a fully analyzed translation unit.
 Program generate(const TranslationUnit& unit);
 
-/// Convenience driver: lex + parse + analyze + generate.
-/// `options` currently supports "-D NAME=VALUE"-free builds only and is
-/// folded into the source hash, mirroring clBuildProgram options.
+/// Convenience entry point: lex + parse + analyze + generate + verify
+/// (verify.h). The result is ready for the VM.
 Program compile(const std::string& source);
 
 } // namespace clc

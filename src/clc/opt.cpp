@@ -6,6 +6,7 @@
 
 #include "clc/builtins.h"
 #include "clc/eval.h"
+#include "clc/verify.h"
 #include "clc/vm.h"
 
 namespace clc {
@@ -1217,6 +1218,7 @@ void compact(Program& p, std::vector<std::uint32_t>& costs,
 // ---------------------------------------------------------------------------
 
 OptStats optimizeWith(Program& p, const OptOptions& opts) {
+  p.verified = false; // the rewrite invalidates what verify() proved
   OptStats stats;
   std::vector<std::uint32_t> costs(p.code.size());
   for (std::size_t i = 0; i < p.code.size(); ++i) {
@@ -1288,11 +1290,14 @@ OptStats optimizeWith(Program& p, const OptOptions& opts) {
 
 OptStats optimize(Program& program, OptLevel level) {
   program.optLevel = std::uint8_t(level);
+  OptStats stats;
   if (level == OptLevel::O0) {
     program.cycleCosts.clear();
-    return {};
+  } else {
+    stats = optimizeWith(program, OptOptions::forLevel(level));
   }
-  return optimizeWith(program, OptOptions::forLevel(level));
+  verify(program);
+  return stats;
 }
 
 } // namespace clc

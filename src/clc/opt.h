@@ -85,10 +85,13 @@ struct OptStats {
 
 /// Optimizes `program` in place at `level` and stamps program.optLevel.
 /// O0 leaves the code untouched (and cycleCosts empty). O1/O2 populate
-/// cycleCosts per the timing-invariance contract above.
+/// cycleCosts per the timing-invariance contract above. The result is
+/// verified (verify.h); a rewrite that breaks a verifier rule throws
+/// VerifyError.
 OptStats optimize(Program& program, OptLevel level);
 
-/// Pass-selectable variant for tests. Does not change program.optLevel.
+/// Pass-selectable variant for tests. Does not change program.optLevel,
+/// and leaves the program unverified: call verify() before running it.
 OptStats optimizeWith(Program& program, const OptOptions& opts);
 
 } // namespace clc

@@ -27,7 +27,7 @@ struct LaunchContext {
   std::uint32_t totalLocalSize = 0;
   NDRange range;
   std::size_t groupCount[3] = {1, 1, 1};
-  /// Per-instruction cycle costs (Program::cycleCosts or derived).
+  /// Per-instruction cycle costs (Program::chargedCosts).
   const std::uint32_t* costs = nullptr;
   /// Barrier-free kernels take the straight-line group runner.
   bool hasBarrier = true;
@@ -44,9 +44,91 @@ enum class ItemStatus { Running, AtBarrier, Done };
 
 constexpr std::size_t kMaxPrivateArena = 1 << 20;  // 1 MiB per work-item
 constexpr std::size_t kMaxCallDepth = 64;
-constexpr std::size_t kMaxOperands = 4096;
+/// Device cycles a work-item may run without returning or reaching a
+/// barrier (about 0.2 s of T10 time) before it traps, as a GPU
+/// watchdog kills a runaway kernel. Verification proves a program safe,
+/// not terminating; every non-terminating run takes jumps, so the check
+/// sits on taken jumps only.
+constexpr std::uint64_t kWatchdogCycles = std::uint64_t(1) << 28;
+
+// --- fixed-width slot access -------------------------------------------------
+
+template <typename T>
+T loadAs(const std::uint8_t* p) noexcept {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+template <typename T>
+void storeAs(std::uint8_t* p, std::uint64_t v) noexcept {
+  const T narrow = T(v);
+  std::memcpy(p, &narrow, sizeof narrow);
+}
+
+/// Loads a `tag`-typed value as a canonical slot (what canon() of the
+/// zero-padded bytes gives): one fixed-width load per tag.
+inline std::uint64_t loadSlot(const std::uint8_t* p, TypeTag tag) noexcept {
+  switch (tag) {
+    case TypeTag::I8: return std::uint64_t(std::int64_t(loadAs<std::int8_t>(p)));
+    case TypeTag::U8: return loadAs<std::uint8_t>(p);
+    case TypeTag::I16: return std::uint64_t(std::int64_t(loadAs<std::int16_t>(p)));
+    case TypeTag::U16: return loadAs<std::uint16_t>(p);
+    case TypeTag::I32: return std::uint64_t(std::int64_t(loadAs<std::int32_t>(p)));
+    case TypeTag::U32:
+    case TypeTag::F32: return loadAs<std::uint32_t>(p);
+    default: return loadAs<std::uint64_t>(p);
+  }
+}
+
+/// Stores the low typeTagSize(tag) bytes of a slot.
+inline void storeSlot(std::uint8_t* p, TypeTag tag, std::uint64_t v) noexcept {
+  switch (tag) {
+    case TypeTag::I8:
+    case TypeTag::U8: storeAs<std::uint8_t>(p, v); return;
+    case TypeTag::I16:
+    case TypeTag::U16: storeAs<std::uint16_t>(p, v); return;
+    case TypeTag::I32:
+    case TypeTag::U32:
+    case TypeTag::F32: storeAs<std::uint32_t>(p, v); return;
+    default: storeAs<std::uint64_t>(p, v); return;
+  }
+}
+
+// The opcodes in Op order: the dispatch table below is built from this
+// list, and kOpOrderMatches proves the order against the enum.
+#define CLC_VM_OPS(X)                                                          \
+  X(Nop) X(PushConst) X(PushFrameAddr) X(PushLocalAddr) X(Dup) X(Pop)          \
+  X(Swap) X(Rot3) X(Load) X(Store) X(StoreKeep) X(MemCopy) X(Add) X(Sub)       \
+  X(Mul) X(Div) X(Rem) X(Neg) X(Shl) X(Shr) X(BitAnd) X(BitOr) X(BitXor)       \
+  X(BitNot) X(CmpEq) X(CmpNe) X(CmpLt) X(CmpLe) X(CmpGt) X(CmpGe) X(LogNot)    \
+  X(Conv) X(Jmp) X(Jz) X(Jnz) X(Call) X(CallBuiltin) X(Barrier) X(Ret)         \
+  X(RetVal) X(RetStruct) X(Trap) X(LoadFrame) X(StoreFrame) X(BinConst)        \
+  X(FrameBin) X(LoadBin) X(CmpJz) X(CmpJnz) X(MulAdd) X(FrameBin2)
+
+constexpr bool opOrderMatches() {
+#define CLC_VM_OP_ENUM(name) Op::name,
+  constexpr Op order[] = {CLC_VM_OPS(CLC_VM_OP_ENUM)};
+#undef CLC_VM_OP_ENUM
+  if (sizeof order / sizeof order[0] != std::size_t(kMaxOp) + 1) {
+    return false;
+  }
+  for (std::size_t i = 0; i < sizeof order / sizeof order[0]; ++i) {
+    if (order[i] != Op(i)) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(opOrderMatches(), "CLC_VM_OPS must list every Op in order");
 
 /// One work-item's execution state: a resumable interpreter.
+///
+/// It runs verified programs only (verify.h), and relies on what the
+/// verifier proved instead of checking at run time: the operand stack is
+/// a fixed array of the kernel's verified peak depth and push/pop/top
+/// never check it, every opcode, tag and operand index is in range, and
+/// pc never leaves the function it belongs to.
 class ItemVM {
 public:
   void init(const LaunchContext& ctx, std::uint8_t* localBase,
@@ -60,7 +142,8 @@ public:
       localId_[d] = localId[d];
       groupId_[d] = groupId[d];
     }
-    stack_.clear();
+    stack_.resize(ctx.kernel->maxOperands);
+    sp_ = stack_.data();
     frames_.clear();
     cycles_ = 0;
     instructions_ = 0;
@@ -90,300 +173,291 @@ public:
   std::uint64_t atomics() const noexcept { return atomics_; }
 
   /// Runs until completion or the next barrier.
+  ///
+  /// Threaded dispatch (GCC labels-as-values): every handler ends with
+  /// its own indirect jump to the next instruction's handler, looked up
+  /// by opcode in a label table; there is no central switch. pc, the
+  /// stack pointer and the frame pointer live in locals; they are written
+  /// back to the members only around calls, builtins, barriers and
+  /// returns, the places that use the members.
   void resume() {
     COMMON_CHECK(status_ != ItemStatus::Done);
     status_ = ItemStatus::Running;
     const Instr* const code = ctx_->program->code.data();
     const std::uint32_t* const costs = ctx_->costs;
+    const std::uint64_t* const constants = ctx_->program->constants.data();
+    std::uint32_t pc = pc_;
+    std::uint64_t* sp = sp_;
+    std::uint32_t frameBase = frames_.back().frameBase;
+    std::uint8_t* frame = arena_.data() + frameBase;
     // Instruction/cycle counters are accumulated in locals and flushed at
     // the (rare) suspension points; resolve()/doBuiltin() still add their
     // dynamic extras (global latency, builtin costs) to cycles_ directly.
     std::uint64_t instructions = 0;
     std::uint64_t cycles = 0;
-    const auto flush = [&] {
-      instructions_ += instructions;
-      cycles_ += cycles;
-    };
-    for (;;) {
-      const Instr instr = code[pc_];
-      cycles += costs[pc_];
-      ++pc_;
-      ++instructions;
-      switch (instr.op) {
-        case Op::Nop:
-          break;
-        case Op::PushConst:
-          push(ctx_->program->constants[std::size_t(instr.a)]);
-          break;
-        case Op::PushFrameAddr:
-          push(packPointer(MemSpace::Private, 0,
-                           frames_.back().frameBase + std::uint64_t(instr.a)));
-          break;
-        case Op::PushLocalAddr:
-          push(packPointer(MemSpace::Local, 0, std::uint64_t(instr.a)));
-          break;
-        case Op::Dup: {
-          const std::uint64_t v = top();
-          push(v);
-          break;
-        }
-        case Op::Pop:
-          (void)pop();
-          break;
-        case Op::Swap: {
-          const std::uint64_t a = pop();
-          const std::uint64_t b = pop();
-          push(a);
-          push(b);
-          break;
-        }
-        case Op::Rot3: {
-          const std::uint64_t c = pop();
-          const std::uint64_t b = pop();
-          const std::uint64_t a = pop();
-          push(b);
-          push(c);
-          push(a);
-          break;
-        }
-        case Op::Load: {
-          const std::uint64_t ptr = pop();
-          const std::size_t size = typeTagSize(instr.tag);
-          const std::uint8_t* p = resolve(ptr, size, /*write=*/false);
-          std::uint64_t v = 0;
-          std::memcpy(&v, p, size);
-          push(canon(v, instr.tag));
-          break;
-        }
-        case Op::Store: {
-          const std::uint64_t v = pop();
-          const std::uint64_t ptr = pop();
-          const std::size_t size = typeTagSize(instr.tag);
-          std::uint8_t* p = resolve(ptr, size, /*write=*/true);
-          std::memcpy(p, &v, size);
-          break;
-        }
-        case Op::StoreKeep: {
-          const std::uint64_t v = pop();
-          const std::uint64_t ptr = pop();
-          const std::size_t size = typeTagSize(instr.tag);
-          std::uint8_t* p = resolve(ptr, size, /*write=*/true);
-          std::memcpy(p, &v, size);
-          push(v);
-          break;
-        }
-        case Op::MemCopy: {
-          const std::uint64_t src = pop();
-          const std::uint64_t dst = pop();
-          const auto size = std::size_t(instr.a);
-          const std::uint8_t* s = resolve(src, size, /*write=*/false);
-          std::uint8_t* d = resolve(dst, size, /*write=*/true);
-          std::memmove(d, s, size);
-          break;
-        }
-        case Op::Add:
-        case Op::Sub:
-        case Op::Mul:
-        case Op::Div:
-        case Op::Rem:
-        case Op::Shl:
-        case Op::Shr:
-        case Op::BitAnd:
-        case Op::BitOr:
-        case Op::BitXor: {
-          const std::uint64_t rhs = pop();
-          const std::uint64_t lhs = pop();
-          push(arith(instr.op, instr.tag, lhs, rhs));
-          break;
-        }
-        case Op::Neg:
-          push(evalNeg(instr.tag, pop()));
-          break;
-        case Op::BitNot:
-          push(canon(~pop(), instr.tag));
-          break;
-        case Op::CmpEq:
-        case Op::CmpNe:
-        case Op::CmpLt:
-        case Op::CmpLe:
-        case Op::CmpGt:
-        case Op::CmpGe: {
-          const std::uint64_t rhs = pop();
-          const std::uint64_t lhs = pop();
-          push(compare(instr.op, instr.tag, lhs, rhs) ? 1 : 0);
-          break;
-        }
-        case Op::LogNot:
-          push(pop() == 0 ? 1 : 0);
-          break;
-        case Op::Conv: {
-          const auto from = TypeTag((instr.a >> 8) & 0xff);
-          const auto to = TypeTag(instr.a & 0xff);
-          push(convert(pop(), from, to));
-          break;
-        }
-        case Op::Jmp:
-          pc_ = std::uint32_t(instr.a);
-          break;
-        case Op::Jz:
-          if (pop() == 0) pc_ = std::uint32_t(instr.a);
-          break;
-        case Op::Jnz:
-          if (pop() != 0) pc_ = std::uint32_t(instr.a);
-          break;
-        case Op::Call:
-          doCall(std::uint32_t(instr.a));
-          break;
-        case Op::CallBuiltin:
-          doBuiltin(Builtin(instr.a), instr.tag);
-          break;
-        case Op::Barrier:
-          status_ = ItemStatus::AtBarrier;
-          flush();
-          return;
-        case Op::Ret:
-          if (doReturn()) {
-            flush();
-            return;
-          }
-          break;
-        case Op::RetVal: {
-          const std::uint64_t v = pop();
-          const bool done = doReturn();
-          push(v);
-          if (done) {
-            flush();
-            return;
-          }
-          break;
-        }
-        case Op::RetStruct: {
-          const std::uint64_t src = pop();
-          std::uint64_t sret = 0;
-          {
-            const std::uint8_t* p =
-                resolve(packPointer(MemSpace::Private, 0,
-                                    frames_.back().frameBase),
-                        8, /*write=*/false);
-            std::memcpy(&sret, p, 8);
-          }
-          const auto size = std::size_t(instr.a);
-          const std::uint8_t* s = resolve(src, size, /*write=*/false);
-          std::uint8_t* d = resolve(sret, size, /*write=*/true);
-          std::memmove(d, s, size);
-          if (doReturn()) {
-            flush();
-            return;
-          }
-          break;
-        }
-        case Op::Trap:
-          trap(instr.a == 1
-                   ? "control reached the end of a non-void function"
-                   : "kernel trap");
-          break;
-        case Op::LoadFrame: {
-          // Offsets are statically verified (optimizer/serializer), so no
-          // per-access bounds check is needed here.
-          std::uint64_t v = 0;
-          std::memcpy(&v,
-                      arena_.data() + frames_.back().frameBase +
-                          std::uint32_t(instr.a),
-                      typeTagSize(instr.tag));
-          push(canon(v, instr.tag));
-          break;
-        }
-        case Op::StoreFrame: {
-          const std::uint64_t v = pop();
-          std::memcpy(arena_.data() + frames_.back().frameBase +
-                          std::uint32_t(instr.a),
-                      &v, typeTagSize(instr.tag));
-          break;
-        }
-        case Op::BinConst: {
-          const Op bop = embeddedOp(instr.a);
-          const std::uint64_t rhs =
-              ctx_->program->constants[std::size_t(embeddedOperand(instr.a))];
-          const std::uint64_t lhs = pop();
-          if (isCompareOp(bop)) {
-            push(compare(bop, instr.tag, lhs, rhs) ? 1 : 0);
-          } else {
-            push(arith(bop, instr.tag, lhs, rhs));
-          }
-          break;
-        }
-        case Op::FrameBin: {
-          const Op bop = embeddedOp(instr.a);
-          std::uint64_t rhs = 0;
-          std::memcpy(&rhs,
-                      arena_.data() + frames_.back().frameBase +
-                          std::uint32_t(embeddedOperand(instr.a)),
-                      typeTagSize(instr.tag));
-          rhs = canon(rhs, instr.tag);
-          const std::uint64_t lhs = pop();
-          if (isCompareOp(bop)) {
-            push(compare(bop, instr.tag, lhs, rhs) ? 1 : 0);
-          } else {
-            push(arith(bop, instr.tag, lhs, rhs));
-          }
-          break;
-        }
-        case Op::LoadBin: {
-          const Op bop = Op(instr.a);
-          const std::uint64_t ptr = pop();
-          const std::size_t size = typeTagSize(instr.tag);
-          const std::uint8_t* p = resolve(ptr, size, /*write=*/false);
-          std::uint64_t rhs = 0;
-          std::memcpy(&rhs, p, size);
-          rhs = canon(rhs, instr.tag);
-          const std::uint64_t lhs = pop();
-          if (isCompareOp(bop)) {
-            push(compare(bop, instr.tag, lhs, rhs) ? 1 : 0);
-          } else {
-            push(arith(bop, instr.tag, lhs, rhs));
-          }
-          break;
-        }
-        case Op::CmpJz:
-        case Op::CmpJnz: {
-          const std::uint64_t rhs = pop();
-          const std::uint64_t lhs = pop();
-          const bool hit =
-              compare(cmpFromJump(instr.a), instr.tag, lhs, rhs);
-          if (hit == (instr.op == Op::CmpJnz)) {
-            pc_ = std::uint32_t(cmpJumpTarget(instr.a));
-          }
-          break;
-        }
-        case Op::MulAdd: {
-          // Two-step multiply-then-add: bit-identical to the Mul+Add pair
-          // it replaces (deliberately *not* a fused fma).
-          const std::uint64_t rhs = pop();
-          const std::uint64_t lhs = pop();
-          const std::uint64_t acc = pop();
-          push(arith(Op::Add, instr.tag, acc,
-                     arith(Op::Mul, instr.tag, lhs, rhs)));
-          break;
-        }
-        case Op::FrameBin2: {
-          const Op bop = frame2Op(instr.a);
-          const std::uint8_t* frame = arena_.data() + frames_.back().frameBase;
-          const std::size_t size = typeTagSize(instr.tag);
-          std::uint64_t lhs = 0;
-          std::uint64_t rhs = 0;
-          std::memcpy(&lhs, frame + std::uint32_t(frame2X(instr.a)), size);
-          std::memcpy(&rhs, frame + std::uint32_t(frame2Y(instr.a)), size);
-          lhs = canon(lhs, instr.tag);
-          rhs = canon(rhs, instr.tag);
-          if (isCompareOp(bop)) {
-            push(compare(bop, instr.tag, lhs, rhs) ? 1 : 0);
-          } else {
-            push(arith(bop, instr.tag, lhs, rhs));
-          }
-          break;
-        }
-      }
+    Instr instr;
+
+#define CLC_VM_LABEL(name) &&op_##name,
+    static const void* const kDispatch[] = {CLC_VM_OPS(CLC_VM_LABEL)};
+#undef CLC_VM_LABEL
+
+#define VM_PUSH(v) (*sp++ = (v))
+#define VM_POP() (*--sp)
+#define VM_TOP() (sp[-1])
+#define VM_NEXT()                                                              \
+  do {                                                                         \
+    instr = code[pc];                                                          \
+    cycles += costs[pc];                                                       \
+    ++pc;                                                                      \
+    ++instructions;                                                            \
+    goto* kDispatch[std::size_t(instr.op)];                                    \
+  } while (false)
+#define VM_JUMP(target)                                                        \
+  do {                                                                         \
+    pc = std::uint32_t(target);                                                \
+    if (cycles > kWatchdogCycles) {                                            \
+      trap("watchdog: ran more than 2^28 cycles without returning or "         \
+           "reaching a barrier");                                              \
+    }                                                                          \
+  } while (false)
+#define VM_SAVE() (pc_ = pc, sp_ = sp)
+#define VM_LOAD()                                                              \
+  (pc = pc_, sp = sp_, frameBase = frames_.back().frameBase,                   \
+   frame = arena_.data() + frameBase)
+#define VM_SUSPEND()                                                           \
+  do {                                                                         \
+    instructions_ += instructions;                                             \
+    cycles_ += cycles;                                                         \
+    return;                                                                    \
+  } while (false)
+#define VM_BINARY(name)                                                        \
+  op_##name : {                                                                \
+    const std::uint64_t rhs = VM_POP();                                        \
+    VM_TOP() = arith(Op::name, instr.tag, VM_TOP(), rhs);                      \
+    VM_NEXT();                                                                 \
+  }
+#define VM_COMPARE(name)                                                       \
+  op_##name : {                                                                \
+    const std::uint64_t rhs = VM_POP();                                        \
+    VM_TOP() = compare(Op::name, instr.tag, VM_TOP(), rhs) ? 1 : 0;            \
+    VM_NEXT();                                                                 \
+  }
+
+    VM_NEXT();
+
+  op_Nop:
+    VM_NEXT();
+  op_PushConst:
+    VM_PUSH(constants[std::size_t(instr.a)]);
+    VM_NEXT();
+  op_PushFrameAddr:
+    VM_PUSH(packPointer(MemSpace::Private, 0,
+                        frameBase + std::uint64_t(instr.a)));
+    VM_NEXT();
+  op_PushLocalAddr:
+    VM_PUSH(packPointer(MemSpace::Local, 0, std::uint64_t(instr.a)));
+    VM_NEXT();
+  op_Dup: {
+    const std::uint64_t v = VM_TOP();
+    VM_PUSH(v);
+    VM_NEXT();
+  }
+  op_Pop:
+    --sp;
+    VM_NEXT();
+  op_Swap:
+    std::swap(sp[-1], sp[-2]);
+    VM_NEXT();
+  op_Rot3: {
+    const std::uint64_t a = sp[-3];
+    sp[-3] = sp[-2];
+    sp[-2] = sp[-1];
+    sp[-1] = a;
+    VM_NEXT();
+  }
+  op_Load:
+    VM_TOP() = loadSlot(resolve(VM_TOP(), typeTagSize(instr.tag), false),
+                        instr.tag);
+    VM_NEXT();
+  op_Store: {
+    const std::uint64_t v = VM_POP();
+    const std::uint64_t ptr = VM_POP();
+    storeSlot(resolve(ptr, typeTagSize(instr.tag), true), instr.tag, v);
+    VM_NEXT();
+  }
+  op_StoreKeep: {
+    const std::uint64_t v = VM_POP();
+    storeSlot(resolve(VM_TOP(), typeTagSize(instr.tag), true), instr.tag, v);
+    VM_TOP() = v;
+    VM_NEXT();
+  }
+  op_MemCopy: {
+    const std::uint64_t src = VM_POP();
+    const std::uint64_t dst = VM_POP();
+    const auto size = std::size_t(instr.a);
+    const std::uint8_t* s = resolve(src, size, /*write=*/false);
+    std::uint8_t* d = resolve(dst, size, /*write=*/true);
+    std::memmove(d, s, size);
+    VM_NEXT();
+  }
+  VM_BINARY(Add)
+  VM_BINARY(Sub)
+  VM_BINARY(Mul)
+  VM_BINARY(Div)
+  VM_BINARY(Rem)
+  VM_BINARY(Shl)
+  VM_BINARY(Shr)
+  VM_BINARY(BitAnd)
+  VM_BINARY(BitOr)
+  VM_BINARY(BitXor)
+  op_Neg:
+    VM_TOP() = evalNeg(instr.tag, VM_TOP());
+    VM_NEXT();
+  op_BitNot:
+    VM_TOP() = canon(~VM_TOP(), instr.tag);
+    VM_NEXT();
+  VM_COMPARE(CmpEq)
+  VM_COMPARE(CmpNe)
+  VM_COMPARE(CmpLt)
+  VM_COMPARE(CmpLe)
+  VM_COMPARE(CmpGt)
+  VM_COMPARE(CmpGe)
+  op_LogNot:
+    VM_TOP() = VM_TOP() == 0 ? 1 : 0;
+    VM_NEXT();
+  op_Conv:
+    VM_TOP() = convert(VM_TOP(), TypeTag((instr.a >> 8) & 0xff),
+                       TypeTag(instr.a & 0xff));
+    VM_NEXT();
+  op_Jmp:
+    VM_JUMP(instr.a);
+    VM_NEXT();
+  op_Jz:
+    if (VM_POP() == 0) {
+      VM_JUMP(instr.a);
     }
+    VM_NEXT();
+  op_Jnz:
+    if (VM_POP() != 0) {
+      VM_JUMP(instr.a);
+    }
+    VM_NEXT();
+  op_Call:
+    VM_SAVE();
+    doCall(std::uint32_t(instr.a));
+    VM_LOAD();
+    VM_NEXT();
+  op_CallBuiltin:
+    VM_SAVE();
+    doBuiltin(Builtin(instr.a), instr.tag);
+    sp = sp_;
+    VM_NEXT();
+  op_Barrier:
+    VM_SAVE();
+    status_ = ItemStatus::AtBarrier;
+    VM_SUSPEND();
+  op_Ret:
+    VM_SAVE();
+    if (doReturn()) {
+      VM_SUSPEND();
+    }
+    VM_LOAD();
+    VM_NEXT();
+  op_RetVal: {
+    const std::uint64_t v = VM_POP();
+    VM_SAVE();
+    const bool done = doReturn();
+    push(v);
+    if (done) {
+      VM_SUSPEND();
+    }
+    VM_LOAD();
+    VM_NEXT();
+  }
+  op_RetStruct: {
+    const std::uint64_t src = VM_POP();
+    VM_SAVE();
+    const std::uint64_t sret = loadAs<std::uint64_t>(
+        resolve(packPointer(MemSpace::Private, 0, frameBase), 8,
+                /*write=*/false));
+    const auto size = std::size_t(instr.a);
+    const std::uint8_t* s = resolve(src, size, /*write=*/false);
+    std::uint8_t* d = resolve(sret, size, /*write=*/true);
+    std::memmove(d, s, size);
+    if (doReturn()) {
+      VM_SUSPEND();
+    }
+    VM_LOAD();
+    VM_NEXT();
+  }
+  op_Trap:
+    trap(instr.a == 1 ? "control reached the end of a non-void function"
+                      : "kernel trap");
+  op_LoadFrame:
+    VM_PUSH(loadSlot(frame + std::uint32_t(instr.a), instr.tag));
+    VM_NEXT();
+  op_StoreFrame:
+    storeSlot(frame + std::uint32_t(instr.a), instr.tag, VM_POP());
+    VM_NEXT();
+  op_BinConst:
+    VM_TOP() = binary(embeddedOp(instr.a), instr.tag, VM_TOP(),
+                      constants[std::size_t(embeddedOperand(instr.a))]);
+    VM_NEXT();
+  op_FrameBin:
+    VM_TOP() = binary(
+        embeddedOp(instr.a), instr.tag, VM_TOP(),
+        loadSlot(frame + std::uint32_t(embeddedOperand(instr.a)), instr.tag));
+    VM_NEXT();
+  op_LoadBin: {
+    const std::uint64_t ptr = VM_POP();
+    const std::uint64_t rhs =
+        loadSlot(resolve(ptr, typeTagSize(instr.tag), /*write=*/false),
+                 instr.tag);
+    VM_TOP() = binary(Op(instr.a), instr.tag, VM_TOP(), rhs);
+    VM_NEXT();
+  }
+  op_CmpJz: {
+    const std::uint64_t rhs = VM_POP();
+    const std::uint64_t lhs = VM_POP();
+    if (!compare(cmpFromJump(instr.a), instr.tag, lhs, rhs)) {
+      VM_JUMP(cmpJumpTarget(instr.a));
+    }
+    VM_NEXT();
+  }
+  op_CmpJnz: {
+    const std::uint64_t rhs = VM_POP();
+    const std::uint64_t lhs = VM_POP();
+    if (compare(cmpFromJump(instr.a), instr.tag, lhs, rhs)) {
+      VM_JUMP(cmpJumpTarget(instr.a));
+    }
+    VM_NEXT();
+  }
+  op_MulAdd: {
+    // Two-step multiply-then-add: bit-identical to the Mul+Add pair it
+    // replaces (deliberately *not* a fused fma).
+    const std::uint64_t rhs = VM_POP();
+    const std::uint64_t lhs = VM_POP();
+    VM_TOP() = arith(Op::Add, instr.tag, VM_TOP(),
+                     arith(Op::Mul, instr.tag, lhs, rhs));
+    VM_NEXT();
+  }
+  op_FrameBin2:
+    VM_PUSH(binary(frame2Op(instr.a), instr.tag,
+                   loadSlot(frame + std::uint32_t(frame2X(instr.a)), instr.tag),
+                   loadSlot(frame + std::uint32_t(frame2Y(instr.a)),
+                            instr.tag)));
+    VM_NEXT();
+
+#undef VM_COMPARE
+#undef VM_BINARY
+#undef VM_SUSPEND
+#undef VM_LOAD
+#undef VM_SAVE
+#undef VM_JUMP
+#undef VM_NEXT
+#undef VM_TOP
+#undef VM_POP
+#undef VM_PUSH
   }
 
 private:
@@ -394,24 +468,10 @@ private:
                     ctx_->kernel->name + "': " + message);
   }
 
-  void push(std::uint64_t v) {
-    if (stack_.size() >= kMaxOperands) {
-      trap("operand stack overflow");
-    }
-    stack_.push_back(v);
-  }
-
-  std::uint64_t pop() {
-    COMMON_CHECK_MSG(!stack_.empty(), "operand stack underflow (VM bug)");
-    const std::uint64_t v = stack_.back();
-    stack_.pop_back();
-    return v;
-  }
-
-  std::uint64_t top() const {
-    COMMON_CHECK(!stack_.empty());
-    return stack_.back();
-  }
+  // The member stack pointer: used by the helpers resume() calls with
+  // sp_ written back. Unchecked; the verifier proved the depths.
+  void push(std::uint64_t v) noexcept { *sp_++ = v; }
+  std::uint64_t pop() noexcept { return *--sp_; }
 
   /// Resolves a packed pointer to raw host memory, bounds-checking the
   /// access. Also maintains the global traffic counters.
@@ -492,6 +552,15 @@ private:
     return out;
   }
 
+  /// The op embedded in a superinstruction: arithmetic or compare.
+  std::uint64_t binary(Op op, TypeTag tag, std::uint64_t lhs,
+                       std::uint64_t rhs) {
+    if (isCompareOp(op)) {
+      return compare(op, tag, lhs, rhs) ? 1 : 0;
+    }
+    return arith(op, tag, lhs, rhs);
+  }
+
   void doCall(std::uint32_t funcIndex) {
     if (frames_.size() >= kMaxCallDepth) {
       trap("call stack overflow");
@@ -566,9 +635,6 @@ private:
       }
       case Builtin::GetWorkDim:
         push(ctx_->range.dims);
-        return;
-      case Builtin::Barrier:
-        COMMON_CHECK_MSG(false, "barrier must compile to Op::Barrier");
         return;
       default:
         break;
@@ -866,7 +932,9 @@ private:
   std::size_t groupId_[3] = {0, 0, 0};
 
   std::vector<std::uint8_t> arena_;
+  /// Fixed operand array of the kernel's verified peak depth.
   std::vector<std::uint64_t> stack_;
+  std::uint64_t* sp_ = nullptr; // one past the top slot
   std::vector<Frame> frames_;
   std::uint32_t pc_ = 0;
   ItemStatus status_ = ItemStatus::Running;
@@ -934,7 +1002,12 @@ void runGroup(const LaunchContext& ctx, std::size_t groupLinear,
     return;
   }
 
-  std::vector<ItemVM> items(itemCount);
+  // Each host thread keeps its interpreters between groups and launches,
+  // so their operand stacks, arenas and frame lists are allocated once
+  // per thread instead of once per work-item and group; init() resets
+  // every item before it runs.
+  thread_local std::vector<ItemVM> items;
+  items.resize(itemCount);
 
   std::size_t idx = 0;
   for (std::size_t lz = 0; lz < ctx.range.localSize[2]; ++lz) {
@@ -1084,36 +1157,6 @@ std::uint32_t instrCycleCost(const Instr& instr) noexcept {
   }
 }
 
-bool kernelHasBarrier(const Program& program, const KernelInfo& kernel) {
-  if (kernel.functionIndex >= program.functions.size()) {
-    return true; // malformed; take the conservative path
-  }
-  std::vector<bool> seen(program.functions.size(), false);
-  std::vector<std::uint32_t> worklist = {kernel.functionIndex};
-  seen[kernel.functionIndex] = true;
-  while (!worklist.empty()) {
-    const FunctionInfo& f = program.functions[worklist.back()];
-    worklist.pop_back();
-    const std::uint32_t end =
-        std::min<std::uint32_t>(f.codeEnd,
-                                std::uint32_t(program.code.size()));
-    for (std::uint32_t pc = f.codeStart; pc < end; ++pc) {
-      const Instr& instr = program.code[pc];
-      if (instr.op == Op::Barrier) {
-        return true;
-      }
-      if (instr.op == Op::Call) {
-        const auto callee = std::uint32_t(instr.a);
-        if (callee < seen.size() && !seen[callee]) {
-          seen[callee] = true;
-          worklist.push_back(callee);
-        }
-      }
-    }
-  }
-  return false;
-}
-
 LaunchStats executeKernel(const Program& program,
                           const std::string& kernelName, const NDRange& range,
                           const std::vector<KernelArgValue>& args,
@@ -1124,6 +1167,12 @@ LaunchStats executeKernel(const Program& program,
     throw common::InvalidArgument("no kernel named '" + kernelName + "'");
   }
 
+  if (!program.verified || program.chargedCosts.size() != program.code.size()) {
+    throw common::InvalidArgument(
+        "kernel '" + kernelName +
+        "' belongs to a program that has not been verified (clc::verify)");
+  }
+
   LaunchContext ctx;
   ctx.program = &program;
   ctx.segments = &segments;
@@ -1131,21 +1180,8 @@ LaunchStats executeKernel(const Program& program,
   ctx.kernelFunc = &program.functions[kernel->functionIndex];
   ctx.args = &args;
   ctx.range = range;
-  ctx.hasBarrier = kernelHasBarrier(program, *kernel);
-
-  // Per-instruction cycle costs: the optimizer's table when present
-  // (timing-invariance contract), otherwise derived from the opcode.
-  std::vector<std::uint32_t> derivedCosts;
-  if (program.cycleCosts.size() == program.code.size() &&
-      !program.code.empty()) {
-    ctx.costs = program.cycleCosts.data();
-  } else {
-    derivedCosts.reserve(program.code.size());
-    for (const Instr& instr : program.code) {
-      derivedCosts.push_back(instrCycleCost(instr));
-    }
-    ctx.costs = derivedCosts.data();
-  }
+  ctx.hasBarrier = kernel->hasBarrier;
+  ctx.costs = program.chargedCosts.data();
 
   if (args.size() != ctx.kernelFunc->params.size()) {
     throw common::InvalidArgument(

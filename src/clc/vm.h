@@ -86,7 +86,8 @@ struct LaunchStats {
 ///
 /// OpenCL 1.1 rules are enforced: the global size must be divisible by the
 /// work-group size in every dimension. Throws TrapError on kernel faults
-/// and common::InvalidArgument on launch-configuration errors.
+/// and common::InvalidArgument on launch-configuration errors or when
+/// `program` is not verified (verify.h).
 LaunchStats executeKernel(const Program& program,
                           const std::string& kernelName, const NDRange& range,
                           const std::vector<KernelArgValue>& args,
@@ -104,10 +105,5 @@ std::uint32_t opCycleCost(Op op) noexcept;
 /// what the VM charges when Program::cycleCosts is empty, and what the
 /// optimizer seeds its cost table from.
 std::uint32_t instrCycleCost(const Instr& instr) noexcept;
-
-/// True when the kernel (or any function it transitively calls) contains
-/// a barrier. Barrier-free kernels take the VM's straight-line fast path:
-/// one reusable interpreter per work-group instead of round-robin fibers.
-bool kernelHasBarrier(const Program& program, const KernelInfo& kernel);
 
 } // namespace clc

@@ -74,6 +74,9 @@ public:
     if (size > remaining()) {
       throw DeserializeError("byte stream truncated");
     }
+    if (size == 0) {
+      return; // `out` may be null (an empty vector's data())
+    }
     std::memcpy(out, data_ + pos_, size);
     pos_ += size;
   }

@@ -7,34 +7,57 @@
 // inter-device traffic visible to the timing model.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
-#include <vector>
+#include <string>
 
 #include "ocl/device.h"
+#include "ocl/fault.h"
 
 namespace ocl {
 
 class BufferState {
 public:
+  /// Claims device capacity first, so a request the device cannot hold
+  /// fails before any host memory is committed. The host backing comes
+  /// zero-filled from calloc, which reports a failure as null rather than
+  /// by exception (also under the sanitizers' allocators); that failure
+  /// is an AllocFailure too.
   BufferState(Device device, std::size_t bytes)
-      : device_(std::move(device)), storage_(bytes) {
+      : device_(std::move(device)), size_(bytes) {
     device_.state().allocate(bytes);
+    storage_.reset(static_cast<std::uint8_t*>(
+        std::calloc(std::max<std::size_t>(bytes, 1), 1)));
+    if (storage_ == nullptr) {
+      device_.state().release(bytes);
+      throw AllocFailure(device_.state().index(),
+                         "host backing of " + std::to_string(bytes) +
+                             " byte(s) for a buffer on device " +
+                             std::to_string(device_.state().index()) +
+                             " could not be allocated");
+    }
   }
 
-  ~BufferState() { device_.state().release(storage_.size()); }
+  ~BufferState() { device_.state().release(size_); }
 
   BufferState(const BufferState&) = delete;
   BufferState& operator=(const BufferState&) = delete;
 
   Device device() const noexcept { return device_; }
-  std::size_t size() const noexcept { return storage_.size(); }
-  std::uint8_t* data() noexcept { return storage_.data(); }
-  const std::uint8_t* data() const noexcept { return storage_.data(); }
+  std::size_t size() const noexcept { return size_; }
+  std::uint8_t* data() noexcept { return storage_.get(); }
+  const std::uint8_t* data() const noexcept { return storage_.get(); }
 
 private:
+  struct Free {
+    void operator()(std::uint8_t* p) const noexcept { std::free(p); }
+  };
+
   Device device_;
-  std::vector<std::uint8_t> storage_;
+  std::size_t size_;
+  std::unique_ptr<std::uint8_t[], Free> storage_;
 };
 
 /// Shared handle to a device allocation (clBuffer analogue).

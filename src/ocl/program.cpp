@@ -6,6 +6,7 @@
 #include "clc/diag.h"
 #include "clc/opt.h"
 #include "clc/serialize.h"
+#include "clc/verify.h"
 #include "ocl/fault.h"
 
 namespace ocl {
@@ -89,6 +90,10 @@ void Program::build(const std::string& options) {
   } catch (const clc::CompileError& e) {
     impl_->buildLog =
         clc::renderContext(impl_->source, e.loc(), e.message());
+    throw BuildError("program build failed: " + std::string(e.what()),
+                     impl_->buildLog);
+  } catch (const clc::VerifyError& e) {
+    impl_->buildLog = e.what();
     throw BuildError("program build failed: " + std::string(e.what()),
                      impl_->buildLog);
   }

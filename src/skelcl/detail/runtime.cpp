@@ -1,5 +1,7 @@
 #include "skelcl/detail/runtime.h"
 
+#include <algorithm>
+
 #include "common/env.h"
 #include "common/logging.h"
 #include "skelcl/detail/partition.h"
@@ -199,15 +201,30 @@ ocl::Program& Runtime::programFor(const std::string& source,
     entry = slot;
   }
   // Build outside the map lock so distinct keys compile in parallel
-  // (the scheduler's prepare workers); call_once makes concurrent
-  // requests for the same key share one build. A throwing build leaves
-  // the flag unset, so the next request retries — the same "failed
-  // builds are not memoized" semantics the synchronous path had.
-  std::call_once(entry->once, [&] {
+  // (the scheduler's prepare workers); the entry's mutex makes
+  // concurrent requests for the same key share one build. A throwing
+  // build leaves the entry empty, so the next request retries — the same
+  // "failed builds are not memoized" semantics the synchronous path had.
+  // (std::call_once would do the same, but hangs under ThreadSanitizer
+  // when its callable throws.)
+  std::lock_guard build(entry->build);
+  if (!entry->program) {
     entry->program.emplace(kernelCache().getOrBuild(
         *context_, source, kDefaultBuildOptions, salt));
-  });
+  }
   return *entry->program;
+}
+
+std::vector<std::string> Runtime::programSources() {
+  std::vector<std::string> sources;
+  {
+    std::lock_guard lock(programMutex_);
+    for (const auto& [key, entry] : programMemo_) {
+      sources.push_back(key.substr(key.find('\x1f') + 1));
+    }
+  }
+  std::sort(sources.begin(), sources.end());
+  return sources;
 }
 
 void Runtime::requireInit() const {

@@ -186,6 +186,10 @@ public:
   ocl::Program& programFor(const std::string& source,
                            const std::string& salt);
 
+  /// Sources of the programs memoized this init() cycle, sorted; lets
+  /// tests and tools inspect every kernel the skeletons generated.
+  std::vector<std::string> programSources();
+
   /// Where block-distribution weights come from. Set at init() from
   /// SKELCL_WEIGHTS=even|static|measured; tests may override at runtime
   /// (takes effect at the next partition/redistribution).
@@ -219,10 +223,10 @@ private:
     std::atomic<std::uint64_t> intermediateBytes{0};
   };
   /// One memoized program. Entries are pinned by shared_ptr so the map
-  /// can rehash while another thread builds; call_once serializes
+  /// can rehash while another thread builds; `build` serializes
   /// concurrent builders of the same key.
   struct ProgramEntry {
-    std::once_flag once;
+    std::mutex build;
     std::optional<ocl::Program> program;
   };
 

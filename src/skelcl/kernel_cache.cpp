@@ -1,6 +1,7 @@
 #include "skelcl/kernel_cache.h"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <string_view>
 
@@ -39,16 +40,21 @@ std::string payloadDigest(const std::uint8_t* data, std::size_t size) {
 }
 
 std::vector<std::uint8_t> sealEntry(const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> entry;
-  entry.reserve(kEntryHeaderLen + payload.size());
-  entry.insert(entry.end(), kEntryMagic, kEntryMagic + sizeof(kEntryMagic));
+  // Header and payload are copied into a presized entry: GCC 12 reports
+  // false -Warray-bounds/-Wstringop-overflow on the growth path of
+  // vector::insert/push_back here.
+  std::array<std::uint8_t, kEntryHeaderLen> header{};
+  std::copy(kEntryMagic, kEntryMagic + sizeof(kEntryMagic), header.begin());
   const std::uint64_t length = payload.size();
   for (std::size_t i = 0; i < 8; ++i) {
-    entry.push_back(std::uint8_t(length >> (8 * i)));
+    header[sizeof(kEntryMagic) + i] = std::uint8_t(length >> (8 * i));
   }
   const std::string digest = payloadDigest(payload.data(), payload.size());
-  entry.insert(entry.end(), digest.begin(), digest.end());
-  entry.insert(entry.end(), payload.begin(), payload.end());
+  std::copy(digest.begin(), digest.end(),
+            header.begin() + sizeof(kEntryMagic) + 8);
+  std::vector<std::uint8_t> entry(kEntryHeaderLen + payload.size());
+  std::copy(header.begin(), header.end(), entry.begin());
+  std::copy(payload.begin(), payload.end(), entry.begin() + kEntryHeaderLen);
   return entry;
 }
 

@@ -35,6 +35,20 @@ TEST(VmControlFlow, NestedLoopsWithBreakAndContinue) {
             0 + 10 + 42 + 95 + 169);
 }
 
+TEST(VmControlFlow, WatchdogStopsARunawayLoop) {
+  // Verification proves a program safe, not terminating: a loop that
+  // never exits traps once the work-item has run 2^28 cycles.
+  try {
+    run1("int i = 0; while (x == 0) { i = i + 1; } out[0] = i;");
+    FAIL() << "runaway loop returned";
+  } catch (const clc::TrapError& e) {
+    EXPECT_NE(std::string(e.what()).find("watchdog"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(run1("int i = 0; while (i < x) { i = i + 1; } out[0] = i;", 5),
+            5);
+}
+
 TEST(VmControlFlow, DoWhileWithContinue) {
   EXPECT_EQ(run1(R"(
     int i = 0;

@@ -50,6 +50,21 @@ TEST_F(OclRuntime, OutOfMemoryThrows) {
   EXPECT_THROW(ctx.createBuffer(gpus[0], 5ull << 30), common::Error);
 }
 
+TEST_F(OclRuntime, HostBackingFailureIsTypedAndReleasesCapacity) {
+  // A device modelling more memory than the host can back: the capacity
+  // check passes, the host allocation fails.
+  ocl::SystemConfig config = ocl::SystemConfig::teslaS1070(1);
+  for (ocl::DeviceSpec& spec : config.devices) {
+    spec.globalMemBytes = std::uint64_t(1) << 62;
+  }
+  ocl::configureSystem(config);
+  auto gpus = ocl::getPlatforms()[0].devices(ocl::DeviceType::GPU);
+  ocl::Context ctx({gpus[0]});
+  EXPECT_THROW(ctx.createBuffer(gpus[0], std::size_t(1) << 61),
+               ocl::AllocFailure);
+  EXPECT_EQ(gpus[0].state().allocatedBytes(), 0u);
+}
+
 TEST_F(OclRuntime, WriteReadRoundTrip) {
   auto gpus = ocl::getPlatforms()[0].devices(ocl::DeviceType::GPU);
   ocl::Context ctx({gpus[0]});

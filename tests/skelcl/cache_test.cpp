@@ -1,4 +1,6 @@
 // Kernel-cache behaviour (paper Sec. III-B).
+#include <unistd.h>
+
 #include <filesystem>
 
 #include "common/byte_stream.h"
@@ -13,8 +15,10 @@ class CacheTest : public ::testing::Test {
 protected:
   void SetUp() override {
     ocl::configureSystem(ocl::SystemConfig::teslaS1070(1));
+    // The pid keeps parallel test processes apart: with a deterministic
+    // allocator (ASan) `this` alone repeats across processes.
     dir_ = (std::filesystem::temp_directory_path() /
-            ("skelcl-cache-test-" +
+            ("skelcl-cache-test-" + std::to_string(::getpid()) + "-" +
              std::to_string(reinterpret_cast<std::uintptr_t>(this))))
                .string();
     std::filesystem::create_directories(dir_);

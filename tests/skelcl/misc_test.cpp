@@ -2,6 +2,7 @@
 // levels, Scalar conversions, and skeleton interactions with the virtual
 // clock.
 #include <cmath>
+#include <cstdint>
 
 #include "common/logging.h"
 #include "common/prng.h"
@@ -67,10 +68,12 @@ TEST_F(MiscTest, ScanNonCommutativeMonoidAcrossBlockBoundaries) {
   Vector<int> input(data);
   Vector<int> out = scan(input);
 
+  // Unsigned 32-bit math: the 16x16-bit products overflow a signed int.
   const auto comp = [](int f, int g) {
-    const int fa = (f >> 16) & 0xffff, fb = f & 0xffff;
-    const int ga = (g >> 16) & 0xffff, gb = g & 0xffff;
-    return (((fa * ga) & 0xffff) << 16) | ((fa * gb + fb) & 0xffff);
+    const auto uf = std::uint32_t(f), ug = std::uint32_t(g);
+    const std::uint32_t fa = (uf >> 16) & 0xffff, fb = uf & 0xffff;
+    const std::uint32_t ga = (ug >> 16) & 0xffff, gb = ug & 0xffff;
+    return int((((fa * ga) & 0xffff) << 16) | ((fa * gb + fb) & 0xffff));
   };
   int acc = 0x10000;
   for (std::size_t i = 0; i < n; ++i) {
