@@ -104,7 +104,8 @@ public:
   std::vector<T> readVector() {
     static_assert(std::is_trivially_copyable_v<T>);
     const auto n = read<std::uint64_t>();
-    if (n * sizeof(T) > remaining()) {
+    // Divide rather than multiply: n * sizeof(T) wraps for huge n.
+    if (n > remaining() / sizeof(T)) {
       throw DeserializeError("vector length exceeds stream size");
     }
     std::vector<T> v(static_cast<std::size_t>(n));

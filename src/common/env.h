@@ -1,5 +1,5 @@
 // Uniform environment-variable parsing for the runtime's configuration
-// knobs (SKELCL_SERIALIZE, SKELCL_TRANSFER_CHUNKS, SKELCL_TRACE, ...).
+// knobs (SKELCL_SERIALIZE, SKELCL_ASYNC, SKELCL_TRACE, ...).
 //
 // Flag semantics are normalized across every knob: an unset variable
 // yields the fallback; "", "0", "false", "off" and "no" (case-

@@ -92,14 +92,16 @@ public:
       }
       plan_.label += ")";
     }
-    plan_.compositionKey = opName(root->op);
+    std::string& key = plan_.compositionKey;
+    key = opName(root->op);
     for (const FusionStage& stage : plan_.stages) {
-      plan_.compositionKey += ";" +
-                              std::string(opName(stage.node->op)) + ":" +
-                              stage.node->funcName;
+      key += ';';
+      key += opName(stage.node->op);
+      key += ':';
+      key += stage.node->funcName;
     }
-    plan_.compositionKey +=
-        ";leaves=" + std::to_string(plan_.leaves.size());
+    key += ";leaves=";
+    key += std::to_string(plan_.leaves.size());
   }
 
 private:
@@ -177,6 +179,37 @@ std::string substituteIndex(const std::string& expr,
     pos = found + kPlaceholder.size();
   }
   return out;
+}
+
+void prepareStageArguments(const FusionPlan& plan) {
+  for (const FusionStage& stage : plan.stages) {
+    stage.node->args.prepare();
+  }
+}
+
+std::size_t bindStageArguments(const FusionPlan& plan, ocl::Kernel& kernel,
+                               std::size_t firstIndex,
+                               std::size_t deviceIndex) {
+  std::size_t at = firstIndex;
+  for (const FusionStage& stage : plan.stages) {
+    stage.node->args.apply(kernel, at, deviceIndex);
+    at += stage.node->args.count();
+  }
+  return at;
+}
+
+void collectStageDeps(const FusionPlan& plan, std::vector<ocl::Event>& deps,
+                      std::size_t deviceIndex) {
+  for (const FusionStage& stage : plan.stages) {
+    stage.node->args.collectDeps(deps, deviceIndex);
+  }
+}
+
+void recordStageEvents(const FusionPlan& plan, const ocl::Event& event,
+                       std::size_t deviceIndex) {
+  for (const FusionStage& stage : plan.stages) {
+    stage.node->args.recordEvent(event, deviceIndex);
+  }
 }
 
 } // namespace skelcl::detail

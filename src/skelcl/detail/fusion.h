@@ -70,4 +70,25 @@ FusionPlan buildFusionPlan(const std::shared_ptr<ExprNode>& root,
 /// Replaces every %IDX% in `expr` with `idx`.
 std::string substituteIndex(const std::string& expr, const std::string& idx);
 
+// Stage-argument plumbing shared by every plan evaluator (dense and
+// irregular): each stage's Arguments, in plan order.
+
+/// Forces deferred readers of, and uploads, every stage's vector
+/// arguments before the launches.
+void prepareStageArguments(const FusionPlan& plan);
+
+/// Binds every stage's arguments from kernel parameter `firstIndex` on;
+/// returns the index after the last one.
+std::size_t bindStageArguments(const FusionPlan& plan, ocl::Kernel& kernel,
+                               std::size_t firstIndex,
+                               std::size_t deviceIndex);
+
+/// Appends the events a launch on `deviceIndex` must wait for.
+void collectStageDeps(const FusionPlan& plan, std::vector<ocl::Event>& deps,
+                      std::size_t deviceIndex);
+
+/// Records `event` as the last writer of every stage's vector arguments.
+void recordStageEvents(const FusionPlan& plan, const ocl::Event& event,
+                       std::size_t deviceIndex);
+
 } // namespace skelcl::detail

@@ -49,40 +49,6 @@ void noteHaloBytes(std::uint64_t bytes) {
   }
 }
 
-// Stage-argument plumbing; these mirror expr.cpp's file-local helpers
-// (an irregular plan holds exactly one stage — the opaque root).
-
-void prepareStageArguments(const FusionPlan& plan) {
-  for (const FusionStage& stage : plan.stages) {
-    stage.node->args.prepare();
-  }
-}
-
-std::size_t bindStageArguments(const FusionPlan& plan, ocl::Kernel& kernel,
-                               std::size_t firstIndex,
-                               std::size_t deviceIndex) {
-  std::size_t at = firstIndex;
-  for (const FusionStage& stage : plan.stages) {
-    stage.node->args.apply(kernel, at, deviceIndex);
-    at += stage.node->args.count();
-  }
-  return at;
-}
-
-void collectStageDeps(const FusionPlan& plan, std::vector<ocl::Event>& deps,
-                      std::size_t deviceIndex) {
-  for (const FusionStage& stage : plan.stages) {
-    stage.node->args.collectDeps(deps, deviceIndex);
-  }
-}
-
-void recordStageEvents(const FusionPlan& plan, const ocl::Event& event,
-                       std::size_t deviceIndex) {
-  for (const FusionStage& stage : plan.stages) {
-    stage.node->args.recordEvent(event, deviceIndex);
-  }
-}
-
 // --- stencil codegen -----------------------------------------------------
 
 /// Statements resolving `skelcl_g` (a signed row — or 1D element — index
@@ -261,8 +227,9 @@ const Chunk* chunkContainingRow(const std::vector<Chunk>& chunks,
   return nullptr;
 }
 
-} // namespace
-
+/// Generated program for a stencil node: a halo/boundary *pack* kernel
+/// plus the windowed compute kernel, in one source so one programFor
+/// covers both.
 std::string stencilProgramSource(const std::shared_ptr<ExprNode>& node,
                                  const FusionPlan& plan) {
   const StencilParams& P = *node->stencil;
@@ -274,6 +241,8 @@ std::string stencilProgramSource(const std::shared_ptr<ExprNode>& node,
                              node->args.callSuffix(stage.argPrefix));
 }
 
+/// Generated program for a sparse-gather node: the one-row-per-work-item
+/// gather/combine loop.
 std::string sparseProgramSource(const std::shared_ptr<ExprNode>& node,
                                 const FusionPlan& plan) {
   const std::string& t = node->outType;
@@ -305,6 +274,8 @@ std::string sparseProgramSource(const std::shared_ptr<ExprNode>& node,
          "  }\n"
          "}\n";
 }
+
+} // namespace
 
 void runStencil(const std::shared_ptr<ExprNode>& node,
                 const std::shared_ptr<VectorStateBase>& out,
@@ -476,7 +447,9 @@ void runStencil(const std::shared_ptr<ExprNode>& node,
         if (rows > 2 * R) {
           mid = compute(R, rows - 2 * R, {interiorPacked});
         }
-        std::vector<ocl::Event> tDeps{topPacked, interiorPacked};
+        std::vector<ocl::Event> tDeps;
+        tDeps.push_back(topPacked);
+        tDeps.push_back(interiorPacked);
         appendEvent(tDeps, mid);
         ocl::Event topDone = compute(0, R, tDeps);
         done = compute(rows - R, R, {botPacked, interiorPacked, topDone});

@@ -109,13 +109,9 @@ void Runtime::init(const DeviceSelection& selection) {
   // SKELCL_ASYNC=0 turns the task-graph scheduler off: every deferred
   // job evaluates at its own consumption point, exactly the pre-async
   // behavior — the differential baseline the async suite compares
-  // against. SKELCL_SCHED_THREADS sizes the scheduler's prepare pool.
+  // against.
   asyncEnabled_ = envFlag("SKELCL_ASYNC", true);
-  const long long schedThreads = envInt("SKELCL_SCHED_THREADS", 0);
-  schedulerThreads_ = schedThreads < 0 ? 0 : std::size_t(schedThreads);
-  Scheduler::instance().configure(asyncEnabled_, schedulerThreads_);
-  const long long pieces = envInt("SKELCL_TRANSFER_CHUNKS", 4);
-  transferPieces_ = pieces < 1 ? 1 : std::size_t(pieces);
+  Scheduler::instance().configure(asyncEnabled_);
   // SKELCL_SCHEDULE=shuffle explores an alternative legal schedule per
   // SKELCL_SCHEDULE_SEED (see Runtime::schedulePolicy); the default is
   // the single deterministic FIFO tie-break order.
@@ -200,11 +196,10 @@ ocl::Program& Runtime::programFor(const std::string& source,
     }
     entry = slot;
   }
-  // Build outside the map lock so distinct keys compile in parallel
-  // (the scheduler's prepare workers); the entry's mutex makes
-  // concurrent requests for the same key share one build. A throwing
-  // build leaves the entry empty, so the next request retries — the same
-  // "failed builds are not memoized" semantics the synchronous path had.
+  // Build outside the map lock so a compile never blocks lookups of
+  // other keys; the entry's mutex makes concurrent requests for the
+  // same key share one build. A throwing build leaves the entry empty,
+  // so the next request retries — failed builds are not memoized.
   // (std::call_once would do the same, but hangs under ThreadSanitizer
   // when its callable throws.)
   std::lock_guard build(entry->build);

@@ -19,9 +19,9 @@
 namespace skelcl {
 
 namespace detail {
-// The runtime's environment knobs (SKELCL_SERIALIZE, SKELCL_TRANSFER_
-// CHUNKS, SKELCL_TRACE, SKELCL_CACHE_DIR, ...) all parse through these
-// helpers so 0/1/true/false handling is consistent everywhere.
+// The runtime's environment knobs (SKELCL_SERIALIZE, SKELCL_TRACE,
+// SKELCL_CACHE_DIR, ...) all parse through these helpers so
+// 0/1/true/false handling is consistent everywhere.
 using common::envDouble;
 using common::envFlag;
 using common::envInt;
@@ -69,12 +69,6 @@ public:
   /// hatch and the baseline for the transfer/compute-overlap ablation.
   bool serializedQueues() const noexcept { return serializedQueues_; }
 
-  /// Number of pieces large host->device uploads are split into so the
-  /// compute engine can start on early pieces while later ones stream in
-  /// (double buffering). SKELCL_TRANSFER_CHUNKS overrides; values <= 1
-  /// disable splitting.
-  std::size_t transferPieces() const noexcept { return transferPieces_; }
-
   /// Ready-queue tie-breaking of the out-of-order scheduler, set at
   /// init() from SKELCL_SCHEDULE=fifo|shuffle and SKELCL_SCHEDULE_SEED.
   /// Under SeededShuffle the queues add seeded dispatch jitter and the
@@ -112,10 +106,6 @@ public:
   /// consumption point, nothing else changes.
   bool asyncEnabled() const noexcept { return asyncEnabled_; }
 
-  /// Worker threads for the scheduler's parallel prepare phase
-  /// (SKELCL_SCHED_THREADS; 0 = one per hardware thread).
-  std::size_t schedulerThreads() const noexcept { return schedulerThreads_; }
-
   /// What the rewrite pass achieved this init()..terminate() cycle.
   struct FusionStats {
     std::uint64_t fusedStages = 0;        // stages absorbed into parents
@@ -136,9 +126,8 @@ public:
       return delta;
     }
   };
-  /// Snapshot of the counters. Internally atomic: the async scheduler's
-  /// prepare workers run concurrently with accounting on the dispatch
-  /// thread, so plain fields would race under TSan.
+  /// Snapshot of the counters. Internally atomic, so a snapshot may be
+  /// taken on any thread while the dispatching thread accounts.
   FusionStats fusionStats() const noexcept {
     FusionStats out;
     out.fusedStages = fusionStats_.fusedStages.load();
@@ -178,11 +167,10 @@ public:
   /// Process-wide memo for generated skeleton programs: one build per
   /// (source, salt) pair per init() cycle, the disk cache underneath
   /// making cross-process reuse cheap. The salt carries the fusion
-  /// configuration into the cache key. Thread-safe: the async
-  /// scheduler's prepare workers warm programs concurrently — distinct
-  /// keys build in parallel, concurrent requests for the same key block
-  /// on one build (a failed build is not memoized; the next request
-  /// retries, preserving the synchronous retry semantics).
+  /// configuration into the cache key. Thread-safe: distinct keys build
+  /// in parallel, concurrent requests for the same key block on one
+  /// build (a failed build is not memoized; the next request retries,
+  /// preserving the synchronous retry semantics).
   ocl::Program& programFor(const std::string& source,
                            const std::string& salt);
 
@@ -234,13 +222,11 @@ private:
   bool serializedQueues_ = false;
   bool fusionEnabled_ = true;
   bool asyncEnabled_ = true;
-  std::size_t schedulerThreads_ = 0;
   AtomicFusionStats fusionStats_;
   std::mutex programMutex_;
   std::unordered_map<std::string, std::shared_ptr<ProgramEntry>>
       programMemo_;
   WeightMode weightMode_ = WeightMode::Even;
-  std::size_t transferPieces_ = 4;
   ocl::SchedulePolicy schedulePolicy_;
   common::Xoshiro256 orderRng_;
   std::string tracePath_;

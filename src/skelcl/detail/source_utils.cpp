@@ -130,8 +130,7 @@ void combineCopiesIntoBlocks(const std::vector<Chunk>& copies,
             "(dst[i], src[i]);\n"
             "}\n";
   auto& runtime = Runtime::instance();
-  ocl::Program program = runtime.kernelCache().getOrBuild(
-      runtime.context(), source, kDefaultBuildOptions);
+  ocl::Program& program = runtime.programFor(source, "");
 
   for (Chunk& block : blocks) {
     const std::size_t d = block.deviceIndex;

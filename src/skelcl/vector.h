@@ -584,6 +584,10 @@ private:
   /// uploads transfer in one piece and overlap nothing.
   static constexpr std::size_t kSplitMinBytes = 1024 * 1024;
 
+  /// Pieces a large upload is split into (double buffering): enough for
+  /// the compute engine to start on the first quarter of a chunk.
+  static constexpr std::size_t kTransferPieces = 4;
+
   /// One chunk descriptor per device, sized by the runtime's current
   /// block weights (detail/partition.h). With even weights — the default
   /// — this is the paper's even split; on heterogeneous platforms or
@@ -668,7 +672,7 @@ private:
   }
 
   /// Uploads every stale chunk. Large chunks are split into
-  /// Runtime::transferPieces() back-to-back writes so a consumer can
+  /// kTransferPieces back-to-back writes so a consumer can
   /// start computing on piece i while piece i+1 still streams over PCIe
   /// (double buffering); the per-piece events land in Chunk::pieces and
   /// the last one becomes Chunk::ready. The H2D engine runs the pieces
@@ -688,7 +692,7 @@ private:
       // Every piece must stay >= kSplitMinBytes: each one pays the fixed
       // PCIe latency, so small pieces cost more than overlap wins.
       const std::size_t pieces = std::min(
-          runtime.transferPieces(),
+          kTransferPieces,
           std::min(chunk.count, bytes / kSplitMinBytes));
       if (pieces <= 1) {
         chunk.ready = queue.enqueueWriteBuffer(

@@ -51,7 +51,8 @@ clc::Program makeProgram(const std::vector<Fn>& fns) {
     f.returnsValue = fn.returnsValue;
     for (std::uint32_t i = 0; i < fn.params; ++i) {
       clc::ParamInfo param;
-      param.name = "p" + std::to_string(i);
+      param.name = "p";
+      param.name += std::to_string(i);
       param.size = 4;
       param.frameOffset = 8 * i;
       f.params.push_back(param);

@@ -63,6 +63,14 @@ TEST(ByteStream, MalformedVectorLengthThrows) {
   EXPECT_THROW(r.readVector<std::uint64_t>(), common::DeserializeError);
 }
 
+TEST(ByteStream, VectorLengthWhoseByteCountWrapsThrows) {
+  // 2^61 eight-byte elements is 2^64 bytes, which wraps to 0.
+  common::ByteWriter w;
+  w.write<std::uint64_t>(std::uint64_t{1} << 61);
+  common::ByteReader r(w.bytes());
+  EXPECT_THROW(r.readVector<std::uint64_t>(), common::DeserializeError);
+}
+
 TEST(ByteStreamFile, WriteReadRoundTrip) {
   const auto path =
       (std::filesystem::temp_directory_path() / "bs_test.bin").string();

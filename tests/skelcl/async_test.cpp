@@ -234,8 +234,8 @@ TEST(AsyncScheduler, PoisonedJobThrowsEvenWhenConsumedFirst) {
 
 TEST(AsyncScheduler, FaultSequencesMatchSynchronousRuns) {
   // Same plan, same program, async on vs off: the same calls fail with
-  // the same typed errors (prepare is skipped while a plan is armed, so
-  // the injector sees builds and launches in the synchronous order).
+  // the same typed errors (a drain builds and launches each job inline,
+  // in registration order, so the injector sees the synchronous order).
   auto cycle = [](bool async) {
     skelcl_test::useTempCacheDir();
     ::setenv("SKELCL_ASYNC", async ? "1" : "0", 1);
@@ -265,6 +265,55 @@ TEST(AsyncScheduler, FaultSequencesMatchSynchronousRuns) {
     return log;
   };
   EXPECT_EQ(cycle(/*async=*/true), cycle(/*async=*/false));
+}
+
+TEST(AsyncScheduler, BuildFaultsInAMultiProgramDrainMatchSynchronousRuns) {
+  // Four jobs with four distinct programs: the drain builds each one as
+  // the job dispatches, so build@2 fails the second job in both modes.
+  auto cycle = [](bool async) {
+    skelcl_test::useTempCacheDir();
+    ::setenv("SKELCL_ASYNC", async ? "1" : "0", 1);
+    ::setenv("SKELCL_FAULT_PLAN", "build@2", 1);
+    ocl::configureSystem(ocl::SystemConfig::teslaS1070(1));
+    skelcl::init(skelcl::DeviceSelection::nGPUs(1));
+    // Injected build faults fire on compiles only, not on cache loads.
+    auto& cache = skelcl::detail::Runtime::instance().kernelCache();
+    cache.setEnabled(false);
+    std::vector<std::string> log;
+    {
+      std::vector<Map<float>> maps;
+      for (std::size_t j = 0; j < 4; ++j) {
+        maps.emplace_back("float asb_f" + std::to_string(j) +
+                          "(float x) { return x + " + std::to_string(j) +
+                          ".0f; }");
+      }
+      std::vector<Vector<float>> jobs;
+      for (std::size_t j = 0; j < 4; ++j) {
+        jobs.push_back(maps[j](Vector<float>(testData(1024, j))));
+      }
+      for (auto& job : jobs) {
+        try {
+          (void)job.hostData();
+          log.emplace_back("ok");
+        } catch (const common::Error& e) {
+          log.emplace_back(e.what());
+        }
+      }
+    }
+    cache.setEnabled(true);
+    skelcl::terminate();
+    ::unsetenv("SKELCL_FAULT_PLAN");
+    ::unsetenv("SKELCL_ASYNC");
+    ocl::FaultInjector::instance().reset();
+    return log;
+  };
+  const std::vector<std::string> async = cycle(/*async=*/true);
+  ASSERT_EQ(async.size(), 4u);
+  EXPECT_EQ(async[0], "ok");
+  EXPECT_NE(async[1].find("injected"), std::string::npos) << async[1];
+  EXPECT_EQ(async[2], "ok");
+  EXPECT_EQ(async[3], "ok");
+  EXPECT_EQ(async, cycle(/*async=*/false));
 }
 
 // --- trace integration ---------------------------------------------------

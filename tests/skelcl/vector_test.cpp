@@ -152,6 +152,25 @@ TEST_F(VectorTest, CombineRedistributionFoldsCopies) {
   }
 }
 
+TEST_F(VectorTest, CombineProgramIsBuiltOncePerInitCycle) {
+  // The combine program is memoized like every skeleton program: a
+  // second copy -> block redistribution with the same operator neither
+  // builds nor reloads it from the disk cache.
+  const std::string plus = "int combine(int a, int b) { return a + b; }";
+  auto& cache = skelcl::detail::Runtime::instance().kernelCache();
+  const skelcl::KernelCache::Stats before = cache.stats();
+  for (int round = 0; round < 2; ++round) {
+    Vector<int> v(8, 5);
+    v.setDistribution(Distribution::Copy);
+    v.state().ensureOnDevices();
+    v.dataOnDevicesModified();
+    v.setDistribution(Distribution::Block, plus);
+    EXPECT_EQ(v[3], 10) << round;
+  }
+  const skelcl::KernelCache::Stats delta = cache.stats() - before;
+  EXPECT_EQ(delta.hits + delta.misses, 1u);
+}
+
 TEST_F(VectorTest, CombineRedistributionWithoutDeviceDataIsPlain) {
   Vector<int> v(4, 2);
   v.setDistribution(Distribution::Copy);
