@@ -23,7 +23,6 @@ int main() {
   // stats, which time exactly the build/load step.
   auto& cache = skelcl::detail::Runtime::instance().kernelCache();
   cache.clear();
-  cache.resetStats();
 
   const auto runAll = [] {
     skelcl::Map<float> map("float m(float x) { return x * 2.0f + 1.0f; }");
@@ -48,16 +47,16 @@ int main() {
   std::uint64_t builds = 0;
   for (int rep = 0; rep < repetitions; ++rep) {
     cache.clear();
-    cache.resetStats();
+    const skelcl::KernelCache::Stats before = cache.stats();
     runAll();
-    buildSeconds += cache.stats().buildSeconds;
-    builds += cache.stats().misses;
+    const skelcl::KernelCache::Stats delta = cache.stats() - before;
+    buildSeconds += delta.buildSeconds;
+    builds += delta.misses;
   }
 
   // Warm: every program loads from disk. The in-process program memo
   // would hide the load, so measure through fresh KernelCache reads.
   cache.clear();
-  cache.resetStats();
   runAll(); // repopulate the cache entries
   double loadSeconds = 0;
   std::uint64_t loads = 0;

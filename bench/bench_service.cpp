@@ -409,9 +409,9 @@ struct BatchRun {
 BatchRun runShared(std::size_t tenants, std::size_t jobsPerTenant,
                    std::size_t n) {
   bench::setupSystem(4);
-  skelcl::detail::Runtime::instance().clearProgramMemo();
   BatchRun out;
-  skelcl::detail::StatsScope stats;
+  auto& cache = skelcl::detail::Runtime::instance().kernelCache();
+  const skelcl::KernelCache::Stats cache0 = cache.stats();
   {
     svc::ServiceConfig config;
     config.policy = svc::Policy::Fifo;
@@ -445,23 +445,23 @@ BatchRun runShared(std::size_t tenants, std::size_t jobsPerTenant,
     out.coalescedJobs = serverStats.coalescedJobs;
     out.maxBatch = serverStats.maxBatch;
   }
-  const auto cache = stats.cacheDelta();
-  out.cacheHits = cache.hits;
-  out.cacheMisses = cache.misses;
+  const skelcl::KernelCache::Stats delta = cache.stats() - cache0;
+  out.cacheHits = delta.hits;
+  out.cacheMisses = delta.misses;
   skelcl::terminate();
   return out;
 }
 
-/// The isolation baseline: each tenant gets its own init cycle with a
-/// cleared program memo (its "own process"; the disk cache stays warm),
-/// no batching, jobs back to back. Makespans add up.
+/// The isolation baseline: each tenant gets its own init cycle, whose
+/// program memo starts empty (its "own process"; the disk cache stays
+/// warm), no batching, jobs back to back. Makespans add up.
 BatchRun runIsolated(std::size_t tenants, std::size_t jobsPerTenant,
                      std::size_t n) {
   BatchRun out;
   for (std::size_t t = 0; t < tenants; ++t) {
     bench::setupSystem(4);
-    skelcl::detail::Runtime::instance().clearProgramMemo();
-    skelcl::detail::StatsScope stats;
+    auto& cache = skelcl::detail::Runtime::instance().kernelCache();
+    const skelcl::KernelCache::Stats cache0 = cache.stats();
     {
       svc::ServiceConfig config;
       config.policy = svc::Policy::Fifo;
@@ -486,9 +486,9 @@ BatchRun runIsolated(std::size_t tenants, std::size_t jobsPerTenant,
         handle.rethrow();
       }
     }
-    const auto cache = stats.cacheDelta();
-    out.cacheHits += cache.hits;
-    out.cacheMisses += cache.misses;
+    const skelcl::KernelCache::Stats delta = cache.stats() - cache0;
+    out.cacheHits += delta.hits;
+    out.cacheMisses += delta.misses;
     skelcl::terminate();
   }
   return out;

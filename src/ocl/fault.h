@@ -26,7 +26,7 @@
 //
 // Examples:
 //   SKELCL_FAULT_PLAN="transfer@3"              third transfer fails
-//   SKELCL_FAULT_PLAN="build@1"                 first build fails
+//   SKELCL_FAULT_PLAN="build@1"                 first build or cache load fails
 //   SKELCL_FAULT_PLAN="kernel~skelcl_map@2"     2nd map launch fails
 //   SKELCL_FAULT_PLAN="enqueue@p0.1" SKELCL_FAULT_SEED=42
 //   SKELCL_FAULT_PLAN="kernel@5=lost"           5th launch kills the device
@@ -52,7 +52,7 @@ namespace ocl {
 /// Where in the runtime a fault can fire.
 enum class FaultSite : std::uint8_t {
   Alloc = 0,  // buffer allocation (Context::createBuffer)
-  Build = 1,  // program build (Program::build)
+  Build = 1,  // program build (Program::build) or kernel-cache request
   Write = 2,  // host -> device transfer (enqueueWriteBuffer)
   Read = 3,   // device -> host transfer (enqueueReadBuffer)
   Copy = 4,   // buffer -> buffer copy (enqueueCopyBuffer)

@@ -67,21 +67,36 @@ Program Program::fromBinary(const std::vector<std::uint8_t>& binary) {
   return p;
 }
 
+void Program::checkBuildFault(const std::string& source) {
+  if (FaultInjector::enabled() &&
+      FaultInjector::instance().check(FaultSite::Build, source)) {
+    // Injected CL_BUILD_PROGRAM_FAILURE: nothing is built, so the program
+    // can be built later (a real driver can fail transiently too).
+    throw BuildError("program build failed: injected fault",
+                     "injected build failure (CL_BUILD_PROGRAM_FAILURE)");
+  }
+}
+
 void Program::build(const std::string& options) {
   COMMON_CHECK_MSG(impl_ != nullptr, "build on invalid Program");
   if (impl_->built) {
     return;
   }
-  const clc::OptLevel level = parseOptLevel(options);
-  if (FaultInjector::enabled()) {
-    if (FaultInjector::instance().check(FaultSite::Build, impl_->source)) {
-      // Injected CL_BUILD_PROGRAM_FAILURE: the program stays unbuilt and
-      // can be rebuilt later (a real driver can fail transiently too).
-      impl_->buildLog = "injected build failure (CL_BUILD_PROGRAM_FAILURE)";
-      throw BuildError("program build failed: injected fault",
-                       impl_->buildLog);
-    }
+  try {
+    checkBuildFault(impl_->source);
+  } catch (const BuildError& e) {
+    impl_->buildLog = e.log();
+    throw;
   }
+  compile(options);
+}
+
+void Program::compile(const std::string& options) {
+  COMMON_CHECK_MSG(impl_ != nullptr, "compile on invalid Program");
+  if (impl_->built) {
+    return;
+  }
+  const clc::OptLevel level = parseOptLevel(options);
   try {
     impl_->program = clc::compile(impl_->source);
     clc::optimize(impl_->program, level);

@@ -45,9 +45,19 @@ public:
   bool valid() const noexcept { return impl_ != nullptr; }
 
   /// Compiles the source (no-op for binary programs). Throws BuildError.
-  /// `options` is accepted for API fidelity and folded into nothing —
-  /// clc has no build options yet.
+  /// `options` selects the bytecode optimization level
+  /// (`-cl-opt-level=0|1|2`, default 2). Consults the `build` fault site
+  /// first (checkBuildFault).
   void build(const std::string& options = "");
+
+  /// build() without the fault-site consult, for callers that made it
+  /// themselves: the kernel cache consults once per request, hit or
+  /// miss, so a fault plan fails the same request warm or cold.
+  void compile(const std::string& options = "");
+
+  /// Counts one call at the `build` fault site, labelled `source`, and
+  /// throws the injected BuildError when the armed plan fires there.
+  static void checkBuildFault(const std::string& source);
 
   bool isBuilt() const;
   const std::string& buildLog() const;

@@ -52,9 +52,6 @@ ServiceConfig ServiceConfig::fromEnv() {
       common::envInt("SKELCL_SERVICE_BATCH_LIMIT", 8);
   COMMON_EXPECTS(limit >= 1, "SKELCL_SERVICE_BATCH_LIMIT must be >= 1");
   config.batchLimit = std::size_t(limit);
-  const long long threads = common::envInt("SKELCL_SERVICE_THREADS", 0);
-  COMMON_EXPECTS(threads >= 0, "SKELCL_SERVICE_THREADS must be >= 0");
-  config.threads = std::size_t(threads);
   return config;
 }
 
@@ -129,7 +126,9 @@ Session& JobServer::openSession(const std::string& tenant, double weight,
   COMMON_EXPECTS(weight > 0.0, "session weight must be > 0");
   std::lock_guard lock(lock_);
   auto row = std::make_unique<Tenant>();
-  row->monitorId = trace::LoadMonitor::instance().registerTenant(tenant);
+  row->row.tenant = tenant;
+  row->row.weight = weight;
+  row->row.priority = priority;
   row->session.reset(
       new Session(this, tenants_.size(), tenant, weight, priority));
   tenants_.push_back(std::move(row));
@@ -141,7 +140,7 @@ JobHandle JobServer::submit(std::size_t tenantIndex, Job job) {
   std::unique_lock lock(lock_);
   Tenant& tenant = *tenants_[tenantIndex];
   if (tenant.queue.size() >= config_.queueCap) {
-    ++tenant.rejected;
+    ++tenant.row.rejected;
     throw ServiceOverload(tenant.session->tenant(), tenant.queue.size(),
                           config_.queueCap);
   }
@@ -154,7 +153,7 @@ JobHandle JobServer::submit(std::size_t tenantIndex, Job job) {
   pending.job = std::move(job);
   pending.seq = nextSeq_++;
   pending.owner = &tenant;
-  ++tenant.submitted;
+  ++tenant.row.submitted;
   ++totalPending_;
   JobHandle handle(pending.state);
   tenant.queue.push_back(std::move(pending));
@@ -195,8 +194,9 @@ std::size_t JobServer::pickTenant(bool honorArrivals,
       case Policy::FairShare:
         // Least accumulated weighted device time first; submission
         // order breaks ties deterministically.
-        if (tenant.vruntime < leader.vruntime ||
-            (tenant.vruntime == leader.vruntime && seq < leaderSeq)) {
+        if (tenant.row.vruntime < leader.row.vruntime ||
+            (tenant.row.vruntime == leader.row.vruntime &&
+             seq < leaderSeq)) {
           best = t;
         }
         break;
@@ -267,28 +267,26 @@ void JobServer::finishJob(PendingJob& job, std::exception_ptr error) {
 void JobServer::executeBatch(std::vector<PendingJob>& batch) {
   auto& monitor = trace::LoadMonitor::instance();
 
-  // Runs `fn` with retirements charged to the job's tenant, folding the
-  // tenant-total delta into the job's own stats (batch phases of one
-  // tenant's jobs interleave, so per-job numbers must be deltas).
+  // Runs `fn` and charges the job what retired meanwhile, failed phases
+  // included. Retirements are accounted synchronously by the enqueuing
+  // thread and every job phase runs here, so the change in the device
+  // totals across a phase is that job's own work (one tenant's batch
+  // phases interleave, so per-job numbers must be deltas).
   auto charged = [&](PendingJob& job, auto&& fn) {
-    const std::size_t id = job.owner->monitorId;
-    const trace::TenantLoad before = monitor.tenantLoad(id);
-    monitor.beginTenantScope(id);
+    const trace::DeviceLoad before = monitor.total();
+    auto charge = [&] {
+      const trace::DeviceLoad after = monitor.total();
+      JobStats& stats = job.state->stats;
+      stats.deviceCycles += after.kernelCycles - before.kernelCycles;
+      stats.bytesMoved += after.bytesMoved - before.bytesMoved;
+    };
     try {
       fn();
     } catch (...) {
-      monitor.endTenantScope();
-      const trace::TenantLoad after = monitor.tenantLoad(id);
-      job.state->stats.deviceCycles +=
-          after.deviceCycles - before.deviceCycles;
-      job.state->stats.bytesMoved += after.bytesMoved - before.bytesMoved;
+      charge();
       throw;
     }
-    monitor.endTenantScope();
-    const trace::TenantLoad after = monitor.tenantLoad(id);
-    job.state->stats.deviceCycles +=
-        after.deviceCycles - before.deviceCycles;
-    job.state->stats.bytesMoved += after.bytesMoved - before.bytesMoved;
+    charge();
   };
   auto fail = [](PendingJob& job) {
     job.failed = true;
@@ -365,7 +363,6 @@ void JobServer::executeBatch(std::vector<PendingJob>& batch) {
     if (stats.dispatchNs == 0) {
       stats.dispatchNs = stats.completeNs; // batch failed before phase 1
     }
-    monitor.noteTenantJob(job.owner->monitorId, stats.queueWaitNs());
     if (trace::Recorder::enabled()) {
       auto& recorder = trace::Recorder::instance();
       const std::string& name = job.owner->session->tenant();
@@ -394,12 +391,16 @@ void JobServer::executeBatch(std::vector<PendingJob>& batch) {
       serverStats_.coalescedJobs += batch.size();
     }
     for (PendingJob& job : batch) {
-      ++job.owner->completed;
+      const JobStats& stats = job.state->stats;
+      TenantStats& row = job.owner->row;
+      ++row.completed;
       if (job.failed) {
-        ++job.owner->failed;
+        ++row.failed;
       }
-      job.owner->vruntime += double(job.state->stats.deviceCycles) /
-                             job.owner->session->weight();
+      row.deviceCycles += stats.deviceCycles;
+      row.bytesMoved += stats.bytesMoved;
+      row.queueWaitNs += stats.queueWaitNs();
+      row.vruntime += double(stats.deviceCycles) / row.weight;
     }
   }
 
@@ -481,25 +482,11 @@ void JobServer::stop() {
 }
 
 std::vector<JobServer::TenantStats> JobServer::tenantStats() const {
-  auto& monitor = trace::LoadMonitor::instance();
   std::lock_guard lock(lock_);
   std::vector<TenantStats> out;
   out.reserve(tenants_.size());
   for (const auto& tenant : tenants_) {
-    TenantStats row;
-    row.tenant = tenant->session->tenant();
-    row.weight = tenant->session->weight();
-    row.priority = tenant->session->priority();
-    row.submitted = tenant->submitted;
-    row.completed = tenant->completed;
-    row.failed = tenant->failed;
-    row.rejected = tenant->rejected;
-    row.vruntime = tenant->vruntime;
-    const trace::TenantLoad load = monitor.tenantLoad(tenant->monitorId);
-    row.deviceCycles = load.deviceCycles;
-    row.bytesMoved = load.bytesMoved;
-    row.queueWaitNs = load.queueWaitNs;
-    out.push_back(std::move(row));
+    out.push_back(tenant->row);
   }
   return out;
 }

@@ -19,11 +19,12 @@
 // deterministic mode tests and benches use). Client threads only
 // enqueue job descriptors; every skeleton call of every tenant runs on
 // the dispatcher, which satisfies the task-graph scheduler's ownership
-// contract (scheduler.h). Each job executes under a LoadMonitor tenant
-// scope, so device-cycles and bytes moved are attributed exactly; the
-// per-tenant totals feed fair-share scheduling, tenantStats(), and the
-// skeltrace tenant report (HostKind::TenantJob spans plus
-// "tenant.<name>.cycles/.bytes" counters).
+// contract (scheduler.h). The dispatcher charges each job the change in
+// the LoadMonitor's device totals across each of its phases, so
+// device-cycles and bytes moved are attributed exactly; a tenant's row
+// sums its jobs' JobStats and feeds fair-share scheduling,
+// tenantStats(), and the skeltrace tenant report (HostKind::TenantJob
+// spans plus "tenant.<name>.cycles/.bytes" counters).
 //
 // Failure isolation: a job that throws — including injected
 // DeviceLost / AllocFailure faults — fails only its own JobHandle (and
@@ -63,11 +64,10 @@ struct ServiceConfig {
   std::size_t queueCap = 64;  // pending jobs per tenant before overload
   bool batching = true;       // coalesce same-programKey jobs
   std::size_t batchLimit = 8; // jobs per coalesced batch
-  std::size_t threads = 0;    // client threads (skelserve); 0 = #tenants
 
   /// SKELCL_SERVICE_POLICY / SKELCL_SERVICE_QUEUE_CAP /
-  /// SKELCL_SERVICE_BATCH / SKELCL_SERVICE_BATCH_LIMIT /
-  /// SKELCL_SERVICE_THREADS, with the defaults above.
+  /// SKELCL_SERVICE_BATCH / SKELCL_SERVICE_BATCH_LIMIT, with the
+  /// defaults above.
   static ServiceConfig fromEnv();
 };
 
@@ -261,12 +261,7 @@ private:
   struct Tenant {
     std::unique_ptr<Session> session;
     std::deque<PendingJob> queue;
-    std::size_t monitorId = 0;
-    double vruntime = 0;
-    std::uint64_t submitted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t rejected = 0;
+    TenantStats row; // charged from each finished job's JobStats
   };
 
   JobHandle submit(std::size_t tenantIndex, Job job);
@@ -287,7 +282,6 @@ private:
   std::vector<std::unique_ptr<Tenant>> tenants_;
   std::uint64_t nextSeq_ = 0;
   std::size_t totalPending_ = 0;
-  bool accepting_ = true;
   bool stopRequested_ = false;
   bool running_ = false;
   ServerStats serverStats_;

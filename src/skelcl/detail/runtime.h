@@ -146,24 +146,6 @@ public:
     fusionStats_.intermediateBuffers.fetch_add(1);
     fusionStats_.intermediateBytes.fetch_add(bytes);
   }
-  /// Zeroes the fusion counters. Together with KernelCache::resetStats
-  /// this gives back-to-back bench scenarios (and per-tenant scopes) a
-  /// clean slate without an init() cycle.
-  void resetFusionStats() noexcept {
-    fusionStats_.fusedStages.store(0);
-    fusionStats_.fusedLaunches.store(0);
-    fusionStats_.intermediateBuffers.store(0);
-    fusionStats_.intermediateBytes.store(0);
-  }
-
-  /// Drops the per-init program memo (the disk cache underneath stays).
-  /// The job service's "per-tenant isolation" baseline uses this to make
-  /// each tenant pay its own program load, as separate processes would.
-  void clearProgramMemo() {
-    std::lock_guard lock(programMutex_);
-    programMemo_.clear();
-  }
-
   /// Process-wide memo for generated skeleton programs: one build per
   /// (source, salt) pair per init() cycle, the disk cache underneath
   /// making cross-process reuse cheap. The salt carries the fusion
@@ -234,30 +216,6 @@ private:
   std::unique_ptr<ocl::Context> context_;
   std::vector<ocl::CommandQueue> queues_;
   std::unique_ptr<KernelCache> cache_;
-};
-
-/// Scoped snapshot over the process-global fusion and kernel-cache
-/// counters: captures both at construction, `fusionDelta()` /
-/// `cacheDelta()` report what happened since. The counters themselves
-/// stay cumulative — concurrent scopes each see their own window, so
-/// per-tenant accounting and back-to-back bench scenarios don't bleed
-/// into each other. Requires init().
-class StatsScope {
-public:
-  StatsScope()
-      : fusion0_(Runtime::instance().fusionStats()),
-        cache0_(Runtime::instance().kernelCache().stats()) {}
-
-  Runtime::FusionStats fusionDelta() const {
-    return Runtime::instance().fusionStats() - fusion0_;
-  }
-  KernelCache::Stats cacheDelta() const {
-    return Runtime::instance().kernelCache().stats() - cache0_;
-  }
-
-private:
-  Runtime::FusionStats fusion0_;
-  KernelCache::Stats cache0_;
 };
 
 } // namespace detail

@@ -120,6 +120,11 @@ ocl::Program KernelCache::getOrBuild(const ocl::Context& context,
                                      const std::string& source,
                                      const std::string& options,
                                      const std::string& salt) {
+  // One `build` fault-site consult per request, hit or miss, so a fault
+  // plan fails the same request whatever the disk holds. It stays
+  // outside the hit path's catch: an injected failure there would fall
+  // through to a rebuild and consult the site a second time.
+  ocl::Program::checkBuildFault(source);
   const std::string path = entryPath(source, options, salt);
   if (enabled_ && common::fileExists(path)) {
     try {
@@ -150,7 +155,7 @@ ocl::Program KernelCache::getOrBuild(const ocl::Context& context,
                              trace::kNoDevice, source.size());
   common::Stopwatch timer;
   ocl::Program program = context.createProgram(source);
-  program.build(options);
+  program.compile(options);
   {
     std::lock_guard lock(statsMutex_);
     stats_.buildSeconds += timer.elapsedSeconds();

@@ -63,9 +63,9 @@ public:
     double loadSeconds = 0;  // time spent loading cached binaries
     double buildSeconds = 0; // time spent building from source
 
-    /// What happened between two snapshots (`later - earlier`); the
-    /// scoped-accounting primitive per-tenant bench scenarios use so
-    /// back-to-back runs don't bleed into each other.
+    /// What happened between two snapshots (`later - earlier`). The
+    /// counters only grow, so a difference is how any caller scopes
+    /// them to one phase.
     friend Stats operator-(const Stats& later, const Stats& earlier) {
       Stats delta;
       delta.hits = later.hits - earlier.hits;
@@ -80,10 +80,6 @@ public:
   Stats stats() const {
     std::lock_guard lock(statsMutex_);
     return stats_;
-  }
-  void resetStats() {
-    std::lock_guard lock(statsMutex_);
-    stats_ = Stats{};
   }
 
 private:

@@ -10,19 +10,11 @@ LoadMonitor& LoadMonitor::instance() {
 void LoadMonitor::reset(std::size_t deviceCount) {
   std::lock_guard lock(mutex_);
   loads_.assign(deviceCount, DeviceLoad{});
-  tenants_.clear();
-  activeTenant_ = kNoTenant;
 }
 
 void LoadMonitor::addKernel(std::uint32_t device, std::uint64_t cycles,
                             std::uint64_t durationNs) noexcept {
   std::lock_guard lock(mutex_);
-  if (activeTenant_ < tenants_.size()) {
-    TenantLoad& tenant = tenants_[activeTenant_];
-    tenant.deviceCycles += cycles;
-    tenant.computeBusyNs += durationNs;
-    ++tenant.launches;
-  }
   if (device >= loads_.size()) {
     return;
   }
@@ -35,9 +27,6 @@ void LoadMonitor::addKernel(std::uint32_t device, std::uint64_t cycles,
 void LoadMonitor::addTransfer(std::uint32_t device,
                               std::uint64_t bytes) noexcept {
   std::lock_guard lock(mutex_);
-  if (activeTenant_ < tenants_.size()) {
-    tenants_[activeTenant_].bytesMoved += bytes;
-  }
   if (device < loads_.size()) {
     loads_[device].bytesMoved += bytes;
   }
@@ -48,57 +37,16 @@ std::vector<DeviceLoad> LoadMonitor::snapshot() const {
   return loads_;
 }
 
-bool LoadMonitor::allDevicesSampled() const {
+DeviceLoad LoadMonitor::total() const {
   std::lock_guard lock(mutex_);
-  if (loads_.empty()) {
-    return false;
-  }
+  DeviceLoad sum;
   for (const DeviceLoad& load : loads_) {
-    if (load.launches == 0) {
-      return false;
-    }
+    sum.kernelCycles += load.kernelCycles;
+    sum.computeBusyNs += load.computeBusyNs;
+    sum.launches += load.launches;
+    sum.bytesMoved += load.bytesMoved;
   }
-  return true;
-}
-
-std::size_t LoadMonitor::registerTenant(const std::string& name) {
-  std::lock_guard lock(mutex_);
-  tenants_.push_back(TenantLoad{});
-  tenants_.back().name = name;
-  return tenants_.size() - 1;
-}
-
-void LoadMonitor::beginTenantScope(std::size_t tenant) noexcept {
-  std::lock_guard lock(mutex_);
-  activeTenant_ = tenant;
-}
-
-void LoadMonitor::endTenantScope() noexcept {
-  std::lock_guard lock(mutex_);
-  activeTenant_ = kNoTenant;
-}
-
-void LoadMonitor::noteTenantJob(std::size_t tenant,
-                                std::uint64_t queueWaitNs) noexcept {
-  std::lock_guard lock(mutex_);
-  if (tenant >= tenants_.size()) {
-    return;
-  }
-  ++tenants_[tenant].jobs;
-  tenants_[tenant].queueWaitNs += queueWaitNs;
-}
-
-TenantLoad LoadMonitor::tenantLoad(std::size_t tenant) const {
-  std::lock_guard lock(mutex_);
-  if (tenant >= tenants_.size()) {
-    return TenantLoad{};
-  }
-  return tenants_[tenant];
-}
-
-std::vector<TenantLoad> LoadMonitor::tenantSnapshot() const {
-  std::lock_guard lock(mutex_);
-  return tenants_;
+  return sum;
 }
 
 } // namespace trace

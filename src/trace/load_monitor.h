@@ -13,18 +13,10 @@
 // Cost when nobody reads it: one mutexed add per kernel *launch* — noise
 // next to the interpreter cycles behind each launch, which is why there
 // is no enabled flag.
-// Tenant accounting (job service): the server brackets each job's
-// execution in begin/endTenantScope; kernel and transfer retirements
-// that happen inside a scope are charged to that tenant in addition to
-// the device totals. The per-tenant numbers (device-cycles, bytes moved,
-// queue wait) are what fair-share scheduling and the skeltrace tenant
-// report run on. reset() forgets tenants together with the device
-// totals, so accounting always describes the current platform.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
 
 namespace trace {
@@ -34,7 +26,7 @@ struct DeviceLoad {
   std::uint64_t kernelCycles = 0;  // VM cycles across retired kernels
   std::uint64_t computeBusyNs = 0; // summed kernel durations (virtual ns)
   std::uint64_t launches = 0;
-  std::uint64_t bytesMoved = 0;    // H2D + D2H DMA payload bytes
+  std::uint64_t bytesMoved = 0;    // H2D + D2H + peer-copy payload bytes
 
   /// Observed throughput in cycles per busy nanosecond — the `measured`
   /// weight of this device. Zero when the device has not run a kernel.
@@ -44,23 +36,11 @@ struct DeviceLoad {
   }
 };
 
-/// Cumulative per-tenant resource totals since the last reset.
-struct TenantLoad {
-  std::string name;
-  std::uint64_t deviceCycles = 0;  // VM cycles of kernels run for this tenant
-  std::uint64_t computeBusyNs = 0; // summed kernel durations (virtual ns)
-  std::uint64_t bytesMoved = 0;    // H2D + D2H + peer-copy payload bytes
-  std::uint64_t launches = 0;
-  std::uint64_t jobs = 0;          // jobs the service completed (ok or failed)
-  std::uint64_t queueWaitNs = 0;   // summed virtual-time submission->dispatch
-};
-
 class LoadMonitor {
 public:
   static LoadMonitor& instance();
 
-  /// Forgets all totals — devices and tenants — and resizes to the new
-  /// machine.
+  /// Forgets all totals and resizes to the new machine.
   void reset(std::size_t deviceCount);
 
   /// Accounts one retired kernel. Out-of-range device indices are
@@ -68,47 +48,25 @@ public:
   void addKernel(std::uint32_t device, std::uint64_t cycles,
                  std::uint64_t durationNs) noexcept;
 
-  /// Accounts one retired DMA transfer's payload against the device and
-  /// the active tenant (engine busy time lives in the trace; the byte
-  /// total feeds live per-device energy estimates).
+  /// Accounts one retired DMA transfer's payload against the device
+  /// (engine busy time lives in the trace; the byte total feeds live
+  /// per-device energy estimates).
   void addTransfer(std::uint32_t device, std::uint64_t bytes) noexcept;
 
   /// Copies the current totals (index = device index).
   std::vector<DeviceLoad> snapshot() const;
 
-  /// True once every device has retired at least one kernel — the
-  /// precondition for `measured` weights to describe the whole machine.
-  bool allDevicesSampled() const;
-
-  // --- tenant attribution (job service) ---------------------------------
-
-  /// Adds a tenant row and returns its id (an index into
-  /// tenantSnapshot()). Names need not be unique; ids are.
-  std::size_t registerTenant(const std::string& name);
-
-  /// Starts charging retirements to `tenant` / stops charging. Scopes
-  /// do not nest; the job service brackets one job phase at a time.
-  void beginTenantScope(std::size_t tenant) noexcept;
-  void endTenantScope() noexcept;
-
-  /// Accounts one completed service job for `tenant` and the virtual
-  /// time it waited between submission and dispatch.
-  void noteTenantJob(std::size_t tenant, std::uint64_t queueWaitNs) noexcept;
-
-  /// Copies one tenant's totals (default row for out-of-range ids).
-  TenantLoad tenantLoad(std::size_t tenant) const;
-
-  /// Copies all tenant rows (index = tenant id).
-  std::vector<TenantLoad> tenantSnapshot() const;
+  /// The totals summed over all devices. Retirements are accounted
+  /// synchronously on the enqueuing thread, so the difference of two
+  /// reads is exactly what retired in between — how the job service
+  /// charges each job phase.
+  DeviceLoad total() const;
 
 private:
   LoadMonitor() = default;
 
   mutable std::mutex mutex_;
   std::vector<DeviceLoad> loads_;
-  std::vector<TenantLoad> tenants_;
-  std::size_t activeTenant_ = kNoTenant;
-  static constexpr std::size_t kNoTenant = ~std::size_t(0);
 };
 
 } // namespace trace

@@ -1,8 +1,8 @@
 // The multi-tenant job service: policy behavior (FIFO baseline
 // equivalence, weighted fair share, job-granularity priority), admission
-// control, cross-tenant batching, per-tenant accounting, the runtime
-// stats scopes, the scheduler's cross-thread submission contract, and
-// the skeltrace tenant report. Fault-plan isolation lives in
+// control, cross-tenant batching, per-tenant accounting, the
+// scheduler's cross-thread submission contract, and the skeltrace
+// tenant report. Fault-plan isolation lives in
 // service_fault_test.cpp. Run with `ctest -L service`.
 #include <atomic>
 #include <cstring>
@@ -16,7 +16,6 @@
 #include "service/service.h"
 #include "skelcl/detail/scheduler.h"
 #include "trace/analysis.h"
-#include "trace/load_monitor.h"
 #include "trace/recorder.h"
 
 namespace {
@@ -177,18 +176,15 @@ TEST(ServiceConfigTest, FromEnvParsesTheDocumentedKnobs) {
   ::setenv("SKELCL_SERVICE_QUEUE_CAP", "5", 1);
   ::setenv("SKELCL_SERVICE_BATCH", "0", 1);
   ::setenv("SKELCL_SERVICE_BATCH_LIMIT", "3", 1);
-  ::setenv("SKELCL_SERVICE_THREADS", "2", 1);
   const svc::ServiceConfig config = svc::ServiceConfig::fromEnv();
   EXPECT_EQ(config.policy, svc::Policy::FairShare);
   EXPECT_EQ(config.queueCap, 5u);
   EXPECT_FALSE(config.batching);
   EXPECT_EQ(config.batchLimit, 3u);
-  EXPECT_EQ(config.threads, 2u);
   ::unsetenv("SKELCL_SERVICE_POLICY");
   ::unsetenv("SKELCL_SERVICE_QUEUE_CAP");
   ::unsetenv("SKELCL_SERVICE_BATCH");
   ::unsetenv("SKELCL_SERVICE_BATCH_LIMIT");
-  ::unsetenv("SKELCL_SERVICE_THREADS");
 
   EXPECT_THROW(svc::policyFromString("round-robin"),
                common::InvalidArgument);
@@ -340,47 +336,41 @@ TEST_F(ServiceTest, TenantAccountingChargesCyclesAndBytesExactly) {
   jobCyclesA += handles[0].stats().deviceCycles;
   jobCyclesA += handles[2].stats().deviceCycles;
   EXPECT_EQ(jobCyclesA, stats[0].deviceCycles);
-
-  const auto snapshot = trace::LoadMonitor::instance().tenantSnapshot();
-  ASSERT_GE(snapshot.size(), 2u);
-  const auto& rowA = snapshot[snapshot.size() - 2];
-  EXPECT_EQ(rowA.name, "acct-a");
-  EXPECT_EQ(rowA.jobs, 2u);
-  EXPECT_EQ(rowA.deviceCycles, stats[0].deviceCycles);
 }
 
-// --- runtime stats scopes (resettable counters) ---------------------------
+TEST_F(ServiceTest, FailedJobIsStillCharged) {
+  // The second job's consume() reads its result back — a charged D2H
+  // transfer — and then throws. Everything that retired before the
+  // throw is still the tenant's.
+  svc::JobServer server(svc::ServiceConfig{});
+  svc::Session& tenant = server.openSession("acct-fail");
+  auto sink = std::make_shared<JobSink>();
+  svc::Job failing = chainJob(1, kN, 0, sink);
+  failing.consume = [read = failing.consume] {
+    read();
+    throw common::Error("consume failed after reading its result");
+  };
+  std::vector<svc::JobHandle> handles;
+  handles.push_back(tenant.submit(chainJob(0, kN, 0, sink)));
+  handles.push_back(tenant.submit(std::move(failing)));
+  server.pump();
 
-TEST_F(ServiceTest, StatsScopeIsolatesFusionAndCacheDeltas) {
-  auto& runtime = skelcl::detail::Runtime::instance();
-  // Warm up: compile the chain's program once outside any scope.
-  directChain(0, kN, 0);
+  ASSERT_FALSE(handles[0].failed());
+  ASSERT_TRUE(handles[1].failed());
+  const svc::JobStats ok = handles[0].stats();
+  const svc::JobStats failed = handles[1].stats();
+  EXPECT_GT(failed.deviceCycles, 0u);
+  // Same job shape: the failed phase's read was charged in full.
+  EXPECT_EQ(failed.deviceCycles, ok.deviceCycles);
+  EXPECT_EQ(failed.bytesMoved, ok.bytesMoved);
 
-  runtime.resetFusionStats();
-  const auto zeroed = runtime.fusionStats();
-  EXPECT_EQ(zeroed.fusedLaunches, 0u);
-  EXPECT_EQ(zeroed.fusedStages, 0u);
-
-  {
-    skelcl::detail::StatsScope scope;
-    directChain(1, kN, 0);
-    const auto fusion = scope.fusionDelta();
-    // Map(Zip) fuses under the default rewrite rules: the scope must see
-    // exactly this run's fusion work, not history.
-    EXPECT_GT(fusion.fusedStages + fusion.fusedLaunches, 0u);
-  }
-
-  // A cleared program memo forces one cache resolution, visible only
-  // inside the scope that did it.
-  runtime.clearProgramMemo();
-  skelcl::detail::StatsScope reloadScope;
-  directChain(2, kN, 0);
-  const auto cache = reloadScope.cacheDelta();
-  EXPECT_GE(cache.hits + cache.misses, 1u);
-
-  runtime.kernelCache().resetStats();
-  EXPECT_EQ(runtime.kernelCache().stats().hits, 0u);
-  EXPECT_EQ(runtime.kernelCache().stats().misses, 0u);
+  const auto stats = server.tenantStats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].completed, 2u);
+  EXPECT_EQ(stats[0].failed, 1u);
+  EXPECT_EQ(stats[0].deviceCycles, ok.deviceCycles + failed.deviceCycles);
+  EXPECT_EQ(stats[0].bytesMoved, ok.bytesMoved + failed.bytesMoved);
+  EXPECT_EQ(stats[0].queueWaitNs, ok.queueWaitNs() + failed.queueWaitNs());
 }
 
 // --- scheduler cross-thread contract --------------------------------------

@@ -1,10 +1,13 @@
 // Kernel-cache behaviour (paper Sec. III-B).
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <vector>
 
 #include "common/byte_stream.h"
 #include "common/stopwatch.h"
+#include "ocl/fault.h"
 #include "skelcl_test_util.h"
 
 namespace {
@@ -27,6 +30,7 @@ protected:
   }
 
   void TearDown() override {
+    ocl::FaultInjector::instance().reset();
     std::error_code ec;
     std::filesystem::remove_all(dir_, ec);
   }
@@ -233,10 +237,42 @@ TEST_F(CacheTest, LoadedProgramExecutesCorrectly) {
   }
 }
 
+TEST_F(CacheTest, BuildFaultFiresOnColdAndWarmRequestsAlike) {
+  // Same plan, same program, same call sequence => same failure,
+  // whatever the cache directory holds.
+  auto& faults = ocl::FaultInjector::instance();
+  KernelCache cache(dir_);
+  faults.configure("build@1");
+  EXPECT_THROW(cache.getOrBuild(context_, source_), ocl::BuildError);
+  faults.reset();
+  cache.getOrBuild(context_, source_); // stores the entry
+  // The label is the kernel source, so patterns match on hits too.
+  faults.configure("build~__kernel@1");
+  EXPECT_THROW(cache.getOrBuild(context_, source_), ocl::BuildError);
+  EXPECT_EQ(cache.stats().hits, 0u);
+
+  // One consult per request, hit or miss — and a corrupt entry's
+  // fall-through rebuild does not consult the site again.
+  faults.configure("build@100");
+  cache.getOrBuild(context_, source_);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(faults.siteCalls(ocl::FaultSite::Build), 1u);
+  for (const auto& e : std::filesystem::directory_iterator(dir_)) {
+    if (e.path().extension() == ".clcbin") {
+      common::writeFile(e.path().string(), std::vector<std::uint8_t>{1, 2});
+    }
+  }
+  cache.getOrBuild(context_, source_);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(faults.siteCalls(ocl::FaultSite::Build), 2u);
+}
+
 TEST_F(CacheTest, LoadIsAtLeastFiveTimesFasterThanBuild) {
   // The paper's claim: "loading kernels from disk is at least five times
   // faster than building them from source." Use a realistically sized
-  // generated kernel and amortize over repetitions.
+  // generated kernel. Builds and loads alternate, so a burst of host
+  // load slows both sides alike, and the per-call medians ignore the
+  // calls it hit.
   std::string bigSource = source_;
   for (int i = 0; i < 30; ++i) {
     bigSource += "\nfloat helper" + std::to_string(i) +
@@ -246,24 +282,30 @@ TEST_F(CacheTest, LoadIsAtLeastFiveTimesFasterThanBuild) {
   KernelCache cache(dir_);
   cache.getOrBuild(context_, bigSource); // prime the cache
 
-  cache.resetStats();
-  common::Stopwatch buildTimer;
-  for (int i = 0; i < 20; ++i) {
-    KernelCache fresh(dir_);
-    fresh.setEnabled(false);
-    fresh.getOrBuild(context_, bigSource);
-  }
-  const double buildTime = buildTimer.elapsedSeconds();
+  std::vector<double> builds;
+  std::vector<double> loads;
+  for (int i = 0; i < 21; ++i) {
+    KernelCache building(dir_);
+    building.setEnabled(false);
+    common::Stopwatch buildTimer;
+    building.getOrBuild(context_, bigSource);
+    builds.push_back(buildTimer.elapsedSeconds());
 
-  common::Stopwatch loadTimer;
-  for (int i = 0; i < 20; ++i) {
-    KernelCache fresh(dir_);
-    fresh.getOrBuild(context_, bigSource);
-    EXPECT_EQ(fresh.stats().hits, 1u);
+    KernelCache loading(dir_);
+    common::Stopwatch loadTimer;
+    loading.getOrBuild(context_, bigSource);
+    loads.push_back(loadTimer.elapsedSeconds());
+    EXPECT_EQ(loading.stats().hits, 1u);
   }
-  const double loadTime = loadTimer.elapsedSeconds();
-  EXPECT_LT(loadTime * 5, buildTime)
-      << "build=" << buildTime << "s load=" << loadTime << "s";
+  const auto median = [](std::vector<double> times) {
+    std::nth_element(times.begin(), times.begin() + times.size() / 2,
+                     times.end());
+    return times[times.size() / 2];
+  };
+  const double build = median(builds);
+  const double load = median(loads);
+  EXPECT_LT(load * 5, build) << "median build=" << build
+                             << "s median load=" << load << "s";
 }
 
 } // namespace
