@@ -170,7 +170,9 @@ public:
     bool lineStart = true;
     for (;;) {
       skipWhitespaceAndComments(lineStart);
+      const std::size_t offset = pos_;
       Token tok = next();
+      tok.offset = offset;
       tok.atLineStart = lineStart;
       lineStart = false;
       const bool eof = tok.kind == TokKind::Eof;

@@ -58,7 +58,8 @@ struct Token {
   bool unsignedSuffix = false; // integer literal had a 'u' suffix
   bool longSuffix = false;     // integer literal had an 'l' suffix
   bool floatSuffix = false;    // floating literal had an 'f' suffix
-  SourceLoc loc;
+  SourceLoc loc;               // logical: line continuations keep the line
+  std::size_t offset = 0;      // byte offset into lex()'s input
   bool atLineStart = false;    // first token on its line (for directives)
 
   bool is(TokKind k) const noexcept { return kind == k; }

@@ -180,7 +180,9 @@ public:
   /// stack pointer and the frame pointer live in locals; they are written
   /// back to the members only around calls, builtins, barriers and
   /// returns, the places that use the members.
-  void resume() {
+  /// Pinned to a 64-byte line start, so that code-size changes elsewhere
+  /// in the binary cannot move it relative to the cache lines.
+  __attribute__((aligned(64))) void resume() {
     COMMON_CHECK(status_ != ItemStatus::Done);
     status_ = ItemStatus::Running;
     const Instr* const code = ctx_->program->code.data();

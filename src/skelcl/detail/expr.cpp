@@ -308,10 +308,10 @@ std::string reduceKernelSource(const std::string& kernelName,
 
 std::string plainReduceSource(const std::shared_ptr<ExprNode>& node) {
   const std::string& t = node->outType;
-  return registeredTypeDefinitions() + node->source +
+  return registeredTypeDefinitions() + node->fn->source() +
          reduceKernelSource("skelcl_reduce",
                             "__global const " + t + "* skelcl_in, ", "", t,
-                            node->funcName, "skelcl_in[%IDX%]",
+                            node->fn->name(), "skelcl_in[%IDX%]",
                             /*pipelined=*/false);
 }
 
@@ -622,11 +622,11 @@ std::string scanAddKernelSource(const std::string& t,
 
 std::string plainScanSource(const std::shared_ptr<ExprNode>& node) {
   const std::string& t = node->outType;
-  return registeredTypeDefinitions() + node->source +
+  return registeredTypeDefinitions() + node->fn->source() +
          scanBlockKernelSource("__global const " + t + "* skelcl_in, ", "",
-                               t, node->funcName, node->identityExpr,
+                               t, node->fn->name(), node->identityExpr,
                                "skelcl_in[%IDX%]") +
-         scanAddKernelSource(t, node->funcName);
+         scanAddKernelSource(t, node->fn->name());
 }
 
 std::string fusedScanSource(const std::shared_ptr<ExprNode>& node,
@@ -861,15 +861,14 @@ void forceExprNode(const std::shared_ptr<ExprNode>& node) {
 bool deferrable(const Arguments& args) { return !args.hasVectorEntries(); }
 
 std::shared_ptr<ExprNode> makeExprNode(
-    ExprNode::Op op, std::string source, std::string funcName,
+    ExprNode::Op op, std::shared_ptr<const UserFunction> fn,
     const Arguments& args, std::size_t workGroupSize,
     std::vector<std::shared_ptr<VectorStateBase>> inputs,
     std::string outType, std::size_t outElemSize, std::size_t outCount,
     std::string identityExpr) {
   auto node = std::make_shared<ExprNode>();
   node->op = op;
-  node->source = std::move(source);
-  node->funcName = std::move(funcName);
+  node->fn = std::move(fn);
   node->identityExpr = std::move(identityExpr);
   node->args = args;
   node->workGroupSize = workGroupSize;

@@ -31,6 +31,7 @@
 namespace skelcl::detail {
 
 class CsrStateBase;
+class UserFunction;
 
 /// Stencil root descriptor (see skelcl/stencil.h). Irregular roots are
 /// opaque to the fusion rewriter; the evaluator in detail/irregular.cpp
@@ -46,11 +47,11 @@ struct StencilParams {
 };
 
 /// SparseGather root descriptor: the CSR operand (not a VectorState —
-/// its per-device rowPtr slices overlap at the cut rows) plus the name
-/// of the combine function inside ExprNode::source.
+/// its per-device rowPtr slices overlap at the cut rows) plus the fold
+/// that combines a row's gathered products (ExprNode::fn is the gather).
 struct SparseParams {
   std::shared_ptr<CsrStateBase> csr;
-  std::string combineName;
+  std::shared_ptr<const UserFunction> combine;
 };
 
 /// One deferred skeleton invocation. Nodes are immutable once built;
@@ -69,9 +70,8 @@ public:
   };
 
   Op op = Op::Map;
-  std::string source;       // user customizing function(s), verbatim
-  std::string funcName;     // name of the customizing function
-  std::string identityExpr; // Scan only: identity element expression
+  std::shared_ptr<const UserFunction> fn; // customizing function
+  std::string identityExpr; // Scan/SparseGather: identity expression
   Arguments args;           // additional arguments (scalars/structs only
                             // when the node is deferred)
   std::size_t workGroupSize = 0; // user override; 0 = SkelCL default
@@ -103,7 +103,7 @@ bool deferrable(const Arguments& args);
 /// inputs on the devices — upload faults and Zip geometry alignment stay
 /// observable at the call site, exactly as under eager execution.
 std::shared_ptr<ExprNode> makeExprNode(
-    ExprNode::Op op, std::string source, std::string funcName,
+    ExprNode::Op op, std::shared_ptr<const UserFunction> fn,
     const Arguments& args, std::size_t workGroupSize,
     std::vector<std::shared_ptr<VectorStateBase>> inputs,
     std::string outType, std::size_t outElemSize, std::size_t outCount,

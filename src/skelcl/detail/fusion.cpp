@@ -1,5 +1,7 @@
 #include "skelcl/detail/fusion.h"
 
+#include <algorithm>
+
 #include "skelcl/detail/source_utils.h"
 
 namespace skelcl::detail {
@@ -22,19 +24,27 @@ const char* opName(ExprNode::Op op) {
   return "?";
 }
 
-/// True for ops whose generated kernel can evaluate an absorbed child
-/// chain inline. Stencil/SparseGather roots read their input through a
-/// packed/gathered access pattern the load-splice rewrite cannot
-/// express, so they are opaque: children always materialize first.
-bool fusableRoot(ExprNode::Op op) {
-  return op == ExprNode::Op::Map || op == ExprNode::Op::Zip ||
-         op == ExprNode::Op::Reduce || op == ExprNode::Op::Scan;
+/// True when `input`'s producer can be spliced into the kernel of its
+/// `parentOp` parent, whose plan holds `stages` stages: the producer is a
+/// still-deferred element-wise stage (Map or Zip) that only this parent
+/// reads. Stencil/SparseGather parents read their input through a
+/// packed/gathered access pattern the load-splice rewrite cannot express,
+/// so their children always materialize first.
+bool absorbable(const ExprNode::Input& input, ExprNode::Op parentOp,
+                std::size_t stages) {
+  const std::shared_ptr<ExprNode>& child = input.node;
+  return (parentOp == ExprNode::Op::Map || parentOp == ExprNode::Op::Zip ||
+          parentOp == ExprNode::Op::Reduce || parentOp == ExprNode::Op::Scan) &&
+         child != nullptr && !child->evaluated && !child->evaluating &&
+         (child->op == ExprNode::Op::Map || child->op == ExprNode::Op::Zip) &&
+         child->fanout == 1 && stages < kMaxStages;
 }
 
 class Emitter {
 public:
-  Emitter(FusionPlan& plan, bool fusionEnabled, bool rename)
-      : plan_(plan), fusionEnabled_(fusionEnabled), rename_(rename) {}
+  /// A fusing emitter absorbs what absorbable() allows and prefixes each
+  /// stage's names; otherwise every deferred child materializes first.
+  Emitter(FusionPlan& plan, bool fuses) : plan_(plan), fuses_(fuses) {}
 
   /// Emits `node` as stage k (= current stage count): splices its
   /// (renamed) functions and argument declarations into the plan, then
@@ -44,16 +54,14 @@ public:
   std::string emitStage(const std::shared_ptr<ExprNode>& node) {
     const std::size_t k = plan_.stages.size();
     const std::string fnPrefix =
-        rename_ ? "skelcl_f" + std::to_string(k) + "_" : "";
+        fuses_ ? "skelcl_f" + std::to_string(k) + "_" : "";
     FusionStage stage;
     stage.node = node;
-    stage.argPrefix = rename_ ? "f" + std::to_string(k) + "_" : "";
-    stage.funcName = fnPrefix + node->funcName;
+    stage.argPrefix = fuses_ ? "f" + std::to_string(k) + "_" : "";
+    stage.funcName = fnPrefix + node->fn->name();
     plan_.stages.push_back(stage);
-    plan_.functionsSource +=
-        renameUserFunctions(node->source, fnPrefix) + "\n";
+    plan_.functionsSource += node->fn->renamed(fnPrefix) + "\n";
     plan_.argDecls += node->args.declSuffix(stage.argPrefix);
-    names_.push_back(node->funcName);
 
     std::vector<std::string> loads;
     loads.reserve(node->inputs.size());
@@ -84,11 +92,11 @@ public:
       plan_.label = opName(root->op);
     } else {
       plan_.label = "Fused(";
-      for (std::size_t i = 0; i < names_.size(); ++i) {
+      for (std::size_t i = 0; i < plan_.stages.size(); ++i) {
         if (i != 0) {
           plan_.label += "∘"; // ∘ — root first: f∘g applies g first
         }
-        plan_.label += names_[i];
+        plan_.label += plan_.stages[i].node->fn->name();
       }
       plan_.label += ")";
     }
@@ -98,7 +106,7 @@ public:
       key += ';';
       key += opName(stage.node->op);
       key += ':';
-      key += stage.node->funcName;
+      key += stage.node->fn->name();
     }
     key += ";leaves=";
     key += std::to_string(plan_.leaves.size());
@@ -106,19 +114,12 @@ public:
 
 private:
   std::string emitLoad(const ExprNode::Input& input, ExprNode::Op parentOp) {
-    const std::shared_ptr<ExprNode>& child = input.node;
-    const bool deferredChild =
-        child != nullptr && !child->evaluated && !child->evaluating;
-    const bool absorbable =
-        fusionEnabled_ && fusableRoot(parentOp) && deferredChild &&
-        (child->op == ExprNode::Op::Map ||
-         child->op == ExprNode::Op::Zip) &&
-        child->fanout == 1 && plan_.stages.size() < kMaxStages;
-    if (absorbable) {
+    if (fuses_ && absorbable(input, parentOp, plan_.stages.size())) {
       ++plan_.fusedStages;
-      return emitStage(child);
+      return emitStage(input.node);
     }
-    if (deferredChild) {
+    const std::shared_ptr<ExprNode>& child = input.node;
+    if (child != nullptr && !child->evaluated && !child->evaluating) {
       // The child stays a separate launch (rewrites off, non-element-
       // wise, or other readers need its vector anyway).
       plan_.materializeFirst.push_back(child);
@@ -130,35 +131,29 @@ private:
   }
 
   FusionPlan& plan_;
-  bool fusionEnabled_;
-  bool rename_;
-  std::vector<std::string> names_;
+  bool fuses_;
 };
-
-FusionPlan emitPlan(const std::shared_ptr<ExprNode>& root,
-                    bool fusionEnabled, bool rename) {
-  FusionPlan plan;
-  Emitter emitter(plan, fusionEnabled, rename);
-  const std::string rootExpr = emitter.emitStage(root);
-  if (root->op == ExprNode::Op::Map || root->op == ExprNode::Op::Zip) {
-    plan.loadExpr = rootExpr;
-  }
-  emitter.finish(root);
-  return plan;
-}
 
 } // namespace
 
 FusionPlan buildFusionPlan(const std::shared_ptr<ExprNode>& root,
                            bool fusionEnabled) {
-  // Two-pass: emit with capture-safe renaming first; when nothing was
-  // absorbed the renaming is pure noise (and would perturb cache keys
-  // between "fusion found nothing" and "fusion disabled"), so re-emit
-  // the single stage with the names untouched.
-  FusionPlan plan = emitPlan(root, fusionEnabled, /*rename=*/true);
-  if (plan.fusedStages == 0) {
-    plan = emitPlan(root, fusionEnabled, /*rename=*/false);
+  // Absorption starts at the root's inputs, so they decide whether the
+  // plan fuses. Only a fusing plan renames: "fusion found nothing" and
+  // "fusion disabled" must build the same program.
+  const bool fuses =
+      fusionEnabled &&
+      std::any_of(root->inputs.begin(), root->inputs.end(),
+                  [&](const ExprNode::Input& input) {
+                    return absorbable(input, root->op, /*stages=*/1);
+                  });
+  FusionPlan plan;
+  Emitter emitter(plan, fuses);
+  const std::string rootExpr = emitter.emitStage(root);
+  if (root->op == ExprNode::Op::Map || root->op == ExprNode::Op::Zip) {
+    plan.loadExpr = rootExpr;
   }
+  emitter.finish(root);
   return plan;
 }
 

@@ -10,9 +10,10 @@
 //
 // Fusion happens at the OpenCL-C source level: every absorbed stage's
 // customizing function is spliced into one translation unit, renamed
-// with a per-stage prefix (skelcl_f<k>_) to avoid capture between
-// stages, and the chain becomes a single load *expression* evaluated in
-// the consumer's kernel — no intermediate buffer, no extra launch.
+// with a per-stage prefix (skelcl_f<k>_, UserFunction::renamed) to avoid
+// capture between stages, and the chain becomes a single load
+// *expression* evaluated in the consumer's kernel — no intermediate
+// buffer, no extra launch. A plan that absorbs nothing renames nothing.
 #pragma once
 
 #include <memory>

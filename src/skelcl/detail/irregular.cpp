@@ -248,6 +248,7 @@ std::string sparseProgramSource(const std::shared_ptr<ExprNode>& node,
   const std::string& t = node->outType;
   const FusionStage& stage = plan.stages.front();
   return registeredTypeDefinitions() + plan.functionsSource +
+         node->sparse->combine->source() + "\n" +
          "\n__kernel void skelcl_spgather(__global const uint* "
          "skelcl_rowptr, __global const uint* skelcl_colidx, "
          "__global const " + t + "* skelcl_vals, __global const " + t +
@@ -264,7 +265,7 @@ std::string sparseProgramSource(const std::shared_ptr<ExprNode>& node,
          "skelcl_nnzbase;\n"
          "    for (uint skelcl_k = skelcl_b; skelcl_k < skelcl_e; "
          "++skelcl_k) {\n"
-         "      skelcl_acc = " + node->sparse->combineName +
+         "      skelcl_acc = " + node->sparse->combine->name() +
          "(skelcl_acc, " + plan.rootFuncName +
          "(skelcl_vals[skelcl_k], skelcl_x[skelcl_colidx[skelcl_k]]" +
          node->args.callSuffix(stage.argPrefix) +

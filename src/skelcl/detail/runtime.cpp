@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "skelcl/detail/partition.h"
 #include "skelcl/detail/scheduler.h"
+#include "skelcl/detail/source_utils.h"
 #include "skelcl/distribution.h"
 #include "trace/load_monitor.h"
 #include "trace/recorder.h"
@@ -105,6 +106,7 @@ void Runtime::init(const DeviceSelection& selection) {
   {
     std::lock_guard lock(programMutex_);
     programMemo_.clear();
+    userFunctions_.clear();
   }
   // SKELCL_ASYNC=0 turns the task-graph scheduler off: every deferred
   // job evaluates at its own consumption point, exactly the pre-async
@@ -177,6 +179,7 @@ void Runtime::terminate() {
   {
     std::lock_guard lock(programMutex_);
     programMemo_.clear();
+    userFunctions_.clear();
   }
   context_.reset();
   devices_.clear();
@@ -208,6 +211,18 @@ ocl::Program& Runtime::programFor(const std::string& source,
         *context_, source, kDefaultBuildOptions, salt));
   }
   return *entry->program;
+}
+
+std::shared_ptr<const UserFunction> Runtime::userFunction(
+    const std::string& source) {
+  std::lock_guard lock(programMutex_);
+  if (const auto it = userFunctions_.find(source);
+      it != userFunctions_.end()) {
+    return it->second;
+  }
+  auto fn = std::make_shared<const UserFunction>(source);
+  userFunctions_.emplace(source, fn);
+  return fn;
 }
 
 std::vector<std::string> Runtime::programSources() {

@@ -42,6 +42,8 @@ struct DeviceSelection {
 
 namespace detail {
 
+class UserFunction;
+
 class Runtime {
 public:
   static Runtime& instance();
@@ -156,6 +158,11 @@ public:
   ocl::Program& programFor(const std::string& source,
                            const std::string& salt);
 
+  /// Customizing function `source`, lexed on first use this init() cycle
+  /// and shared by every skeleton built from the same text; dropped with
+  /// the program memo. A source that does not lex throws, uninterned.
+  std::shared_ptr<const UserFunction> userFunction(const std::string& source);
+
   /// Sources of the programs memoized this init() cycle, sorted; lets
   /// tests and tools inspect every kernel the skeletons generated.
   std::vector<std::string> programSources();
@@ -208,6 +215,8 @@ private:
   std::mutex programMutex_;
   std::unordered_map<std::string, std::shared_ptr<ProgramEntry>>
       programMemo_;
+  std::unordered_map<std::string, std::shared_ptr<const UserFunction>>
+      userFunctions_;
   WeightMode weightMode_ = WeightMode::Even;
   ocl::SchedulePolicy schedulePolicy_;
   common::Xoshiro256 orderRng_;

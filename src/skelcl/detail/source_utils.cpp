@@ -1,5 +1,7 @@
 #include "skelcl/detail/source_utils.h"
 
+#include <algorithm>
+
 #include "clc/lexer.h"
 #include "skelcl/detail/runtime.h"
 #include "skelcl/detail/skeleton_common.h"
@@ -10,102 +12,88 @@ namespace skelcl::detail {
 
 namespace {
 
-/// Names of every function defined at the top level of `source`, in
-/// definition order. The shared walk behind userFunctionName() and
-/// collectTopLevelFunctionNames().
-std::vector<std::string> topLevelFunctionNames(const std::string& source) {
-  std::vector<clc::Token> tokens;
-  try {
-    tokens = clc::lexAndPreprocess(source);
-  } catch (const clc::CompileError& e) {
-    throw common::InvalidArgument(
-        std::string("cannot parse user function: ") + e.what());
-  }
+/// Names of every function defined at the top level of the preprocessed
+/// token stream `tokens`, in definition order.
+std::vector<std::string> definedFunctionNames(
+    const std::vector<clc::Token>& tokens) {
   std::vector<std::string> names;
   int depth = 0;
   for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-    const clc::Token& tok = tokens[i];
-    if (tok.kind == clc::TokKind::LBrace) ++depth;
-    if (tok.kind == clc::TokKind::RBrace) --depth;
-    if (depth == 0 && tok.kind == clc::TokKind::Identifier &&
-        tokens[i + 1].kind == clc::TokKind::LParen) {
-      // A *definition* has '{' after its parameter list's closing ')'.
-      int parens = 0;
-      std::size_t j = i + 1;
-      for (; j < tokens.size(); ++j) {
-        if (tokens[j].kind == clc::TokKind::LParen) ++parens;
-        if (tokens[j].kind == clc::TokKind::RParen && --parens == 0) {
-          break;
-        }
+    depth += (tokens[i].kind == clc::TokKind::LBrace) -
+             (tokens[i].kind == clc::TokKind::RBrace);
+    if (depth != 0 || tokens[i].kind != clc::TokKind::Identifier ||
+        tokens[i + 1].kind != clc::TokKind::LParen) {
+      continue;
+    }
+    // A *definition* has '{' after its parameter list's closing ')'.
+    std::size_t j = i + 1;
+    for (int parens = 0; j < tokens.size(); ++j) {
+      parens += (tokens[j].kind == clc::TokKind::LParen) -
+                (tokens[j].kind == clc::TokKind::RParen);
+      if (parens == 0) {
+        break;
       }
-      if (j + 1 < tokens.size() &&
-          tokens[j + 1].kind == clc::TokKind::LBrace) {
-        names.push_back(tok.text);
-      }
+    }
+    if (j + 1 < tokens.size() &&
+        tokens[j + 1].kind == clc::TokKind::LBrace) {
+      names.push_back(tokens[i].text);
     }
   }
   return names;
 }
 
-bool isIdentChar(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9') || c == '_';
-}
-
 } // namespace
 
-std::string userFunctionName(const std::string& source) {
-  // The customizing function is the *last* function defined at the top
-  // level; earlier definitions are helpers it may call.
-  const std::vector<std::string> names = topLevelFunctionNames(source);
+UserFunction::UserFunction(std::string source) : source_(std::move(source)) {
+  // Definitions come from the preprocessed stream (a macro may expand to
+  // one), name uses from the raw tokens, whose offsets index the source.
+  std::vector<clc::Token> tokens;
+  std::vector<std::string> names;
+  try {
+    tokens = clc::lex(source_);
+    names = definedFunctionNames(clc::preprocess(tokens));
+  } catch (const clc::CompileError& e) {
+    throw common::InvalidArgument(
+        std::string("cannot parse user function: ") + e.what());
+  }
   if (names.empty()) {
     throw common::InvalidArgument(
-        "no function definition found in user source: " + source);
+        "no function definition found in user source: " + source_);
   }
-  return names.back();
-}
-
-std::vector<std::string> collectTopLevelFunctionNames(
-    const std::string& source) {
-  return topLevelFunctionNames(source);
-}
-
-std::string renameUserFunctions(const std::string& source,
-                                const std::string& prefix) {
-  if (prefix.empty()) {
-    return source;
-  }
-  const std::vector<std::string> names = topLevelFunctionNames(source);
-  std::string out = source;
-  for (const std::string& name : names) {
-    std::string replaced;
-    replaced.reserve(out.size());
-    std::size_t pos = 0;
-    while (pos < out.size()) {
-      const std::size_t found = out.find(name, pos);
-      if (found == std::string::npos) {
-        replaced.append(out, pos, out.size() - pos);
-        break;
+  name_ = names.back();
+  int fieldDepth = 0; // > 0 inside a struct body
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const clc::TokKind kind = tokens[i].kind;
+    if (fieldDepth > 0) {
+      fieldDepth += (kind == clc::TokKind::LBrace) -
+                    (kind == clc::TokKind::RBrace);
+    } else if (kind == clc::TokKind::KwStruct) {
+      // A struct's tag and fields may share a function's name.
+      i += tokens[i + 1].kind == clc::TokKind::Identifier;
+      if (tokens[i + 1].kind == clc::TokKind::LBrace) {
+        fieldDepth = 1;
+        ++i;
       }
-      replaced.append(out, pos, found - pos);
-      const bool startsWord =
-          found == 0 || !isIdentChar(out[found - 1]);
-      const std::size_t after = found + name.size();
-      const bool endsWord = after >= out.size() || !isIdentChar(out[after]);
-      // Member accesses keep their names: `s.name` / `p->name` refer to
-      // struct fields, not the function being renamed.
-      const bool memberAccess =
-          (found >= 1 && out[found - 1] == '.') ||
-          (found >= 2 && out[found - 2] == '-' && out[found - 1] == '>');
-      if (startsWord && endsWord && !memberAccess) {
-        replaced += prefix + name;
-      } else {
-        replaced.append(name);
-      }
-      pos = after;
+    } else if (kind == clc::TokKind::Identifier &&
+               (i == 0 || (tokens[i - 1].kind != clc::TokKind::Dot &&
+                           tokens[i - 1].kind != clc::TokKind::Arrow)) &&
+               std::find(names.begin(), names.end(), tokens[i].text) !=
+                   names.end()) {
+      uses_.push_back(tokens[i].offset);
     }
-    out = std::move(replaced);
   }
+}
+
+std::string UserFunction::renamed(const std::string& prefix) const {
+  std::string out;
+  out.reserve(source_.size() + uses_.size() * prefix.size());
+  std::size_t pos = 0;
+  for (const std::size_t use : uses_) {
+    out.append(source_, pos, use - pos);
+    out += prefix;
+    pos = use;
+  }
+  out.append(source_, pos, std::string::npos);
   return out;
 }
 
@@ -117,16 +105,15 @@ void combineCopiesIntoBlocks(const std::vector<Chunk>& copies,
                              std::vector<Chunk>& blocks,
                              std::size_t elemSize,
                              const std::string& elementType,
-                             const std::string& combineSource) {
-  const std::string name = userFunctionName(combineSource);
+                             const UserFunction& combine) {
   std::string source = registeredTypeDefinitions();
-  source += combineSource;
+  source += combine.source();
   source += "\n__kernel void skelcl_combine(__global " + elementType +
             "* dst, __global const " + elementType +
             "* src, uint n) {\n"
             "  size_t i = get_global_id(0);\n"
             "  if (i < n) dst[i] = " +
-            name +
+            combine.name() +
             "(dst[i], src[i]);\n"
             "}\n";
   auto& runtime = Runtime::instance();

@@ -1,5 +1,5 @@
-// Helpers for handling user-supplied OpenCL-C function strings, and the
-// combine redistribution that launches one (copy -> block).
+// User-supplied OpenCL-C function strings, lexed once (UserFunction),
+// and the combine redistribution that launches one (copy -> block).
 #pragma once
 
 #include <string>
@@ -9,27 +9,32 @@
 
 namespace skelcl::detail {
 
-/// Extracts the name of the (first) function defined in `source` — the
-/// identifier directly before the first top-level '('. SkelCL users pass
-/// customizing functions as plain strings (paper Listing 1); the code
-/// generator needs the name to call it from the skeleton kernel.
-/// Throws common::InvalidArgument when no function definition is found.
-std::string userFunctionName(const std::string& source);
+/// A customizing function as the user passed it (paper Listing 1: plain
+/// OpenCL-C source, helpers before it), lexed once. Immutable;
+/// Runtime::userFunction shares one per distinct source per init() cycle.
+class UserFunction {
+public:
+  /// Throws common::InvalidArgument when `source` does not lex or
+  /// defines no function.
+  explicit UserFunction(std::string source);
 
-/// Every function *defined* at the top level of `source`, in definition
-/// order (the customizing function plus any helpers it carries along).
-/// Throws common::InvalidArgument when the source does not lex.
-std::vector<std::string> collectTopLevelFunctionNames(
-    const std::string& source);
+  const std::string& source() const noexcept { return source_; }
 
-/// Returns `source` with every top-level-defined function (and every
-/// call to it) renamed to `prefix` + its original name. Used by kernel
-/// fusion to splice several customizing functions into one translation
-/// unit without name capture: two stages may both define "func" or share
-/// helper names. Whole-word textual replacement; member accesses
-/// (`x.name`, `p->name`) are left alone.
-std::string renameUserFunctions(const std::string& source,
-                                const std::string& prefix);
+  /// The customizing function: the last function defined at the top
+  /// level (earlier ones are helpers). Skeleton kernels call it.
+  const std::string& name() const noexcept { return name_; }
+
+  /// The source with `prefix` spliced in before every use of a top-level
+  /// function's name, calls and definitions alike; member accesses,
+  /// struct fields and comments keep theirs. Fusion gives each stage its
+  /// own prefix, so stages that define the same names stay apart.
+  std::string renamed(const std::string& prefix) const;
+
+private:
+  std::string source_;
+  std::string name_;
+  std::vector<std::size_t> uses_; // byte offsets of the name uses
+};
 
 struct Chunk;
 
@@ -48,7 +53,7 @@ void combineCopiesIntoBlocks(const std::vector<Chunk>& copies,
                              std::vector<Chunk>& blocks,
                              std::size_t elemSize,
                              const std::string& elementType,
-                             const std::string& combineSource);
+                             const UserFunction& combine);
 
 /// The concatenated OpenCL-side definitions of every registered user
 /// struct type, prepended to all generated kernels.

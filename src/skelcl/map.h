@@ -16,6 +16,7 @@
 // deferred producer of its input.
 #pragma once
 
+#include <memory>
 #include <string>
 
 #include "skelcl/arguments.h"
@@ -31,9 +32,8 @@ class Map {
 public:
   /// `source` is the customizing function, e.g.
   ///   Map<float> dbl("float f(float x) { return 2.0f * x; }");
-  explicit Map(std::string source)
-      : source_(std::move(source)),
-        funcName_(detail::userFunctionName(source_)) {}
+  explicit Map(const std::string& source)
+      : fn_(detail::Runtime::instance().userFunction(source)) {}
 
   /// Optional tuning knob; the paper notes the work-group size "can have
   /// a considerable impact on performance". 0 = SkelCL default (256).
@@ -62,11 +62,10 @@ private:
     // paths, the whole launch). Fused evaluation emits its own span.
     trace::ScopedHostSpan span(trace::HostKind::Skeleton, "Map",
                                trace::kNoDevice, input.size());
-    auto& runtime = detail::Runtime::instance();
-    runtime.requireInit();
+    detail::Runtime::instance().requireInit();
     auto node = detail::makeExprNode(
-        detail::ExprNode::Op::Map, source_, funcName_, args,
-        workGroupSize_, {input.stateHandle()}, typeName<Tout>(),
+        detail::ExprNode::Op::Map, fn_, args, workGroupSize_,
+        {input.stateHandle()}, typeName<Tout>(),
         sizeof(Tout), input.size());
     if (!explicitOutput && detail::deferrable(args)) {
       detail::deferNode(node, output.stateHandle());
@@ -75,8 +74,7 @@ private:
     }
   }
 
-  std::string source_;
-  std::string funcName_;
+  std::shared_ptr<const detail::UserFunction> fn_;
   std::size_t workGroupSize_ = 0;
 };
 
@@ -86,9 +84,8 @@ private:
 template <typename Tin>
 class Map<Tin, void> {
 public:
-  explicit Map(std::string source)
-      : source_(std::move(source)),
-        funcName_(detail::userFunctionName(source_)) {}
+  explicit Map(const std::string& source)
+      : fn_(detail::Runtime::instance().userFunction(source)) {}
 
   void setWorkGroupSize(std::size_t size) { workGroupSize_ = size; }
 
@@ -97,15 +94,14 @@ public:
                                trace::kNoDevice, input.size());
     detail::Runtime::instance().requireInit();
     auto node = detail::makeExprNode(
-        detail::ExprNode::Op::Map, source_, funcName_, args,
-        workGroupSize_, {input.stateHandle()}, "void", /*outElemSize=*/0,
+        detail::ExprNode::Op::Map, fn_, args, workGroupSize_,
+        {input.stateHandle()}, "void", /*outElemSize=*/0,
         input.size());
     detail::evaluateNodeInto(node, /*out=*/nullptr);
   }
 
 private:
-  std::string source_;
-  std::string funcName_;
+  std::shared_ptr<const detail::UserFunction> fn_;
   std::size_t workGroupSize_ = 0;
 };
 

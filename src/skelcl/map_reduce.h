@@ -24,10 +24,9 @@ public:
   /// associative binary operator on Tout. `identity` is the reduce
   /// operator's identity element, returned for an empty input (no
   /// launch happens then).
-  MapReduce(std::string mapSource, std::string reduceSource,
+  MapReduce(const std::string& mapSource, const std::string& reduceSource,
             Tout identity = Tout{})
-      : map_(std::move(mapSource)),
-        reduce_(std::move(reduceSource), identity) {}
+      : map_(mapSource), reduce_(reduceSource, identity) {}
 
   Scalar<Tout> operator()(const Vector<Tin>& input) {
     return reduce_(map_(input));

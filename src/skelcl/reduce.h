@@ -21,6 +21,7 @@
 // map_reduce.h is built on).
 #pragma once
 
+#include <memory>
 #include <string>
 
 #include "skelcl/detail/expr.h"
@@ -37,21 +38,19 @@ public:
   /// `identity` is the operator's identity element, returned when the
   /// input is empty (e.g. 0 for +, 1 for *). Reducing an empty vector
   /// launches nothing.
-  explicit Reduce(std::string source, T identity = T{})
-      : source_(std::move(source)),
-        identity_(identity),
-        funcName_(detail::userFunctionName(source_)) {}
+  explicit Reduce(const std::string& source, T identity = T{})
+      : fn_(detail::Runtime::instance().userFunction(source)),
+        identity_(identity) {}
 
   Scalar<T> operator()(const Vector<T>& input) {
     trace::ScopedHostSpan span(trace::HostKind::Skeleton, "Reduce",
                                trace::kNoDevice, input.size());
-    auto& runtime = detail::Runtime::instance();
-    runtime.requireInit();
+    detail::Runtime::instance().requireInit();
     if (input.size() == 0) {
       return Scalar<T>(identity_);
     }
     auto node = detail::makeExprNode(
-        detail::ExprNode::Op::Reduce, source_, funcName_, Arguments{},
+        detail::ExprNode::Op::Reduce, fn_, Arguments{},
         /*workGroupSize=*/0, {input.stateHandle()}, typeName<T>(),
         sizeof(T), /*outCount=*/1);
     Vector<T> holder;
@@ -60,9 +59,8 @@ public:
   }
 
 private:
-  std::string source_;
+  std::shared_ptr<const detail::UserFunction> fn_;
   T identity_{};
-  std::string funcName_;
 };
 
 } // namespace skelcl

@@ -19,6 +19,7 @@
 // the tree loads — no intermediate vector.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <type_traits>
 
@@ -34,25 +35,23 @@ class Scan {
 public:
   /// `identity` is the OpenCL-C expression for the identity element of
   /// the operator (e.g. "0" for +, "1" for *, "-INFINITY" for max).
-  explicit Scan(std::string source, std::string identity = "0")
-      : source_(std::move(source)),
-        identity_(std::move(identity)),
-        funcName_(detail::userFunctionName(source_)) {}
+  explicit Scan(const std::string& source, std::string identity = "0")
+      : fn_(detail::Runtime::instance().userFunction(source)),
+        identity_(std::move(identity)) {}
 
   Vector<T> operator()(const Vector<T>& input) {
     static_assert(std::is_arithmetic_v<T>,
                   "Scan currently supports arithmetic element types");
     trace::ScopedHostSpan span(trace::HostKind::Skeleton, "Scan",
                                trace::kNoDevice, input.size());
-    auto& runtime = detail::Runtime::instance();
-    runtime.requireInit();
+    detail::Runtime::instance().requireInit();
     if (input.size() == 0) {
       // Scan of nothing is nothing; skip redistribution, allocation,
       // and every device command.
       return Vector<T>();
     }
     auto node = detail::makeExprNode(
-        detail::ExprNode::Op::Scan, source_, funcName_, Arguments{},
+        detail::ExprNode::Op::Scan, fn_, Arguments{},
         /*workGroupSize=*/0, {input.stateHandle()}, typeName<T>(),
         sizeof(T), input.size(), identity_);
     Vector<T> output;
@@ -61,9 +60,8 @@ public:
   }
 
 private:
-  std::string source_;
+  std::shared_ptr<const detail::UserFunction> fn_;
   std::string identity_;
-  std::string funcName_;
 };
 
 } // namespace skelcl

@@ -189,11 +189,10 @@ public:
   /// `gatherSource`: binary function (matrix value, gathered operand
   /// element); `combineSource`: associative binary fold; `identityExpr`:
   /// OpenCL-C expression for the fold's start value.
-  SparseGather(std::string gatherSource, std::string combineSource,
-               std::string identityExpr)
-      : gatherName_(detail::userFunctionName(gatherSource)),
-        combineName_(detail::userFunctionName(combineSource)),
-        source_(std::move(gatherSource) + "\n" + std::move(combineSource)),
+  SparseGather(const std::string& gatherSource,
+               const std::string& combineSource, std::string identityExpr)
+      : gather_(detail::Runtime::instance().userFunction(gatherSource)),
+        combine_(detail::Runtime::instance().userFunction(combineSource)),
         identity_(std::move(identityExpr)) {}
 
   void setWorkGroupSize(std::size_t size) { workGroupSize_ = size; }
@@ -202,8 +201,7 @@ public:
                        const Arguments& args = Arguments{}) {
     trace::ScopedHostSpan span(trace::HostKind::Skeleton, "SparseGather",
                                trace::kNoDevice, matrix.nnz());
-    auto& runtime = detail::Runtime::instance();
-    runtime.requireInit();
+    detail::Runtime::instance().requireInit();
     if (x.size() != matrix.cols()) {
       throw common::InvalidArgument(
           "SparseGather operand has " + std::to_string(x.size()) +
@@ -215,12 +213,12 @@ public:
     matrix.state().ensureOnDevices();
 
     auto node = detail::makeExprNode(
-        detail::ExprNode::Op::SparseGather, source_, gatherName_, args,
-        workGroupSize_, {x.stateHandle()}, typeName<T>(), sizeof(T),
-        matrix.rows(), identity_);
+        detail::ExprNode::Op::SparseGather, gather_, args, workGroupSize_,
+        {x.stateHandle()}, typeName<T>(), sizeof(T), matrix.rows(),
+        identity_);
     auto params = std::make_shared<detail::SparseParams>();
     params->csr = matrix.stateHandle();
-    params->combineName = combineName_;
+    params->combine = combine_;
     node->sparse = std::move(params);
 
     Vector<T> output;
@@ -233,9 +231,8 @@ public:
   }
 
 private:
-  std::string gatherName_;
-  std::string combineName_;
-  std::string source_;
+  std::shared_ptr<const detail::UserFunction> gather_;
+  std::shared_ptr<const detail::UserFunction> combine_;
   std::string identity_;
   std::size_t workGroupSize_ = 0;
 };

@@ -24,6 +24,7 @@
 // over the input would mix old and new neighborhoods.
 #pragma once
 
+#include <memory>
 #include <string>
 
 #include "skelcl/arguments.h"
@@ -50,9 +51,9 @@ struct StencilShape {
 template <typename T>
 class Stencil {
 public:
-  Stencil(std::string source, StencilShape shape, T constantValue = T{})
-      : source_(std::move(source)),
-        funcName_(detail::userFunctionName(source_)),
+  Stencil(const std::string& source, StencilShape shape,
+          T constantValue = T{})
+      : fn_(detail::Runtime::instance().userFunction(source)),
         shape_(shape) {
     if (shape_.radius == 0) {
       throw common::InvalidArgument("Stencil radius must be at least 1");
@@ -62,10 +63,9 @@ public:
     }
   }
 
-  Stencil(std::string source, std::size_t radius,
+  Stencil(const std::string& source, std::size_t radius,
           Boundary boundary = Boundary::Clamp, T constantValue = T{})
-      : Stencil(std::move(source),
-                StencilShape{radius, boundary, 0}, constantValue) {}
+      : Stencil(source, StencilShape{radius, boundary, 0}, constantValue) {}
 
   void setWorkGroupSize(std::size_t size) { workGroupSize_ = size; }
 
@@ -76,14 +76,12 @@ public:
   Vector<T> operator()(const Vector<T>& input, const Arguments& args) {
     trace::ScopedHostSpan span(trace::HostKind::Skeleton, "Stencil",
                                trace::kNoDevice, input.size());
-    auto& runtime = detail::Runtime::instance();
-    runtime.requireInit();
+    detail::Runtime::instance().requireInit();
     validate(input.size());
 
     auto node = detail::makeExprNode(
-        detail::ExprNode::Op::Stencil, source_, funcName_, args,
-        workGroupSize_, {input.stateHandle()}, typeName<T>(), sizeof(T),
-        input.size());
+        detail::ExprNode::Op::Stencil, fn_, args, workGroupSize_,
+        {input.stateHandle()}, typeName<T>(), sizeof(T), input.size());
     auto params = std::make_shared<detail::StencilParams>();
     params->radius = shape_.radius;
     params->boundary = static_cast<int>(shape_.boundary);
@@ -122,8 +120,7 @@ private:
     }
   }
 
-  std::string source_;
-  std::string funcName_;
+  std::shared_ptr<const detail::UserFunction> fn_;
   StencilShape shape_;
   Arguments constArg_;
   std::size_t workGroupSize_ = 0;

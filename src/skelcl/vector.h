@@ -118,7 +118,6 @@ public:
   }
   const std::shared_ptr<ExprNode>& pendingNode() const { return pending_; }
   bool hasPending() const { return pending_ != nullptr; }
-  std::size_t pendingCount() const { return pendingCount_; }
   void clearPending() { pending_.reset(); }
 
   /// Files the failure of this state's deferred producer. The async
@@ -300,7 +299,7 @@ public:
     // the caller can retry the redistribution after handling the error.
     std::vector<Chunk> blocks = blockLayout(devices);
     combineCopiesIntoBlocks(chunks_, blocks, sizeof(T), typeName<T>(),
-                            combineSource);
+                            *runtime.userFunction(combineSource));
     chunks_ = std::move(blocks);
     dist_ = Distribution::Block;
     devicesDirty_ = true;
@@ -364,7 +363,6 @@ public:
     devicesDirty_ = false;
   }
 
-  bool devicesDirty() const { return devicesDirty_; }
   bool hostDirty() const { return hostDirty_; }
   bool hasDeviceData() const { return !chunks_.empty(); }
 

@@ -11,6 +11,7 @@
 // either operand are absorbed into the zip kernel (detail/fusion.h).
 #pragma once
 
+#include <memory>
 #include <string>
 
 #include "skelcl/arguments.h"
@@ -25,9 +26,8 @@ namespace skelcl {
 template <typename Tin, typename Tout = Tin>
 class Zip {
 public:
-  explicit Zip(std::string source)
-      : source_(std::move(source)),
-        funcName_(detail::userFunctionName(source_)) {}
+  explicit Zip(const std::string& source)
+      : fn_(detail::Runtime::instance().userFunction(source)) {}
 
   void setWorkGroupSize(std::size_t size) { workGroupSize_ = size; }
 
@@ -63,8 +63,7 @@ private:
     // paths, the whole launch). Fused evaluation emits its own span.
     trace::ScopedHostSpan span(trace::HostKind::Skeleton, "Zip",
                                trace::kNoDevice, left.size());
-    auto& runtime = detail::Runtime::instance();
-    runtime.requireInit();
+    detail::Runtime::instance().requireInit();
     if (left.size() != right.size()) {
       // Typed: callers can catch ZipSizeMismatch and read both sizes
       // and distributions instead of parsing the message.
@@ -73,8 +72,8 @@ private:
                             right.state().distribution());
     }
     auto node = detail::makeExprNode(
-        detail::ExprNode::Op::Zip, source_, funcName_, args,
-        workGroupSize_, {left.stateHandle(), right.stateHandle()},
+        detail::ExprNode::Op::Zip, fn_, args, workGroupSize_,
+        {left.stateHandle(), right.stateHandle()},
         typeName<Tout>(), sizeof(Tout), left.size());
     if (!explicitOutput && detail::deferrable(args)) {
       detail::deferNode(node, output.stateHandle());
@@ -83,8 +82,7 @@ private:
     }
   }
 
-  std::string source_;
-  std::string funcName_;
+  std::shared_ptr<const detail::UserFunction> fn_;
   std::size_t workGroupSize_ = 0;
 };
 

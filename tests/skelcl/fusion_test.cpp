@@ -206,6 +206,22 @@ TEST(FusionTest, ScanAbsorbsMapChain) {
   });
 }
 
+TEST(FusionTest, StagesDefiningTheSameNamesStayApart) {
+  // Both stages define a customizing function `f` and a helper `h`. The
+  // fused kernel holds both pairs, each renamed with its stage's prefix,
+  // so neither stage's calls can reach the other's functions.
+  expectFusionWins([](RunResult& out) {
+    Map<float> first(
+        "float h(float x) { return x + 1.0f; }\n"
+        "float f(float x) { return 2.0f * h(x); }");
+    Map<float> second(
+        "float h(float x) { return x * x; }\n"
+        "float f(float x) { return h(x) - 3.0f; }");
+    Vector<float> input(testData(2048));
+    out.floats = second(first(input)).hostData();
+  });
+}
+
 TEST(FusionTest, DeepChainSplitsAtMaxDepthAndStaysExact) {
   // 24 stacked maps exceed the rewrite pass's max fusion depth, so the
   // plan must split: still bit-exact, still far fewer launches.

@@ -304,14 +304,80 @@ TEST_F(SkeletonTest, InvalidUserFunctionFailsAtFirstUse) {
 }
 
 TEST_F(SkeletonTest, UserFunctionNameExtraction) {
-  EXPECT_EQ(skelcl::detail::userFunctionName(
-                "float sum (float x,float y){return x+y;}"),
+  using skelcl::detail::UserFunction;
+  EXPECT_EQ(UserFunction("float sum (float x,float y){return x+y;}").name(),
             "sum");
-  EXPECT_EQ(skelcl::detail::userFunctionName(
-                "int f(int a) { return g(a); }"),
-            "f");
-  EXPECT_THROW(skelcl::detail::userFunctionName("int x = 3;"),
-               common::InvalidArgument);
+  EXPECT_EQ(UserFunction("int f(int a) { return g(a); }").name(), "f");
+  EXPECT_THROW(UserFunction("int x = 3;"), common::InvalidArgument);
+}
+
+TEST_F(SkeletonTest, UserFunctionRenamesHelperAndCustomizingFunction) {
+  const skelcl::detail::UserFunction fn(
+      "float h(float x) { return x + 1.0f; }\n"
+      "float f(float x) { return h(x) * h(2.0f * x); }");
+  EXPECT_EQ(fn.name(), "f");
+  EXPECT_EQ(fn.renamed("P_"),
+            "float P_h(float x) { return x + 1.0f; }\n"
+            "float P_f(float x) { return P_h(x) * P_h(2.0f * x); }");
+  EXPECT_EQ(fn.renamed(""), fn.source());
+}
+
+TEST_F(SkeletonTest, UserFunctionRenamesWholeWordsOnly) {
+  // `f` is a prefix of the helper `ff` and of the parameter `fx`, and a
+  // suffix of `gf`; only whole-word uses of each defined name move.
+  const skelcl::detail::UserFunction fn(
+      "int ff(int fx) { return fx + 1; }\n"
+      "int f(int gf) { return ff(gf) + ff(f_x(gf)); }");
+  EXPECT_EQ(fn.name(), "f");
+  EXPECT_EQ(fn.renamed("P_"),
+            "int P_ff(int fx) { return fx + 1; }\n"
+            "int P_f(int gf) { return P_ff(gf) + P_ff(f_x(gf)); }");
+}
+
+TEST_F(SkeletonTest, UserFunctionLeavesStructFieldsAndCommentsAlone) {
+  // Fields named like the functions, declared in a struct and read
+  // through `.` and `->`, are not uses of the functions; nor is a name in
+  // a comment. A call in a #define body continued over a backslash-
+  // newline is a use, and so is every one after it.
+  const skelcl::detail::UserFunction fn(
+      "typedef struct { float scale; float g; } P;\n"
+      "float g(float x) { return 2.0f * x; } // g doubles\n"
+      "#define TWICE(x) \\\n  g(g(x))\n"
+      "/* g */ float scale(P p, const P* q) {\n"
+      "  return g(p.g) + q->g + p . scale + TWICE(q -> scale);\n"
+      "}");
+  EXPECT_EQ(fn.name(), "scale");
+  EXPECT_EQ(fn.renamed("P_"),
+            "typedef struct { float scale; float g; } P;\n"
+            "float P_g(float x) { return 2.0f * x; } // g doubles\n"
+            "#define TWICE(x) \\\n  P_g(P_g(x))\n"
+            "/* g */ float P_scale(P p, const P* q) {\n"
+            "  return P_g(p.g) + q->g + p . scale + TWICE(q -> scale);\n"
+            "}");
+}
+
+TEST_F(SkeletonTest, SkeletonsShareOneUserFunctionPerInitCycle) {
+  const std::string source = "float f(float x) { return x + 1.0f; }";
+  auto& runtime = skelcl::detail::Runtime::instance();
+  Map<float> a(source);
+  Map<float> b(source);
+  const auto first = runtime.userFunction(source);
+  // One lexed value, held by the runtime's table, both skeletons and
+  // `first`.
+  EXPECT_EQ(first.use_count(), 4);
+  EXPECT_EQ(runtime.userFunction(source), first);
+
+  skelcl::terminate();
+  skelcl::init(skelcl::DeviceSelection::nGPUs(1));
+  Map<float> c(source);
+  const auto second = runtime.userFunction(source);
+  EXPECT_NE(second, first);
+  EXPECT_EQ(second.use_count(), 3); // the table, c and `second`
+  EXPECT_EQ(first.use_count(), 3);  // a, b and `first`; no table
+  // Skeletons from both cycles still run.
+  Vector<float> input(std::vector<float>{1.0f});
+  EXPECT_FLOAT_EQ(a(input)[0], 2.0f);
+  EXPECT_FLOAT_EQ(c(input)[0], 2.0f);
 }
 
 TEST_F(SkeletonTest, MapRespectsCustomWorkGroupSize) {
